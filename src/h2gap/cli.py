@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -46,9 +47,7 @@ from .projects import (
 )
 from .scenarios import ambition_gap, load_requirements, stats
 from .subsidies import (
-    annual_subsidies,
     capacity_supported_by_budget,
-    cost_gap,
     cumulative_subsidies,
     demand_supported_additions,
     gas_cost,
@@ -62,6 +61,17 @@ EXIT_DATA = 3
 
 class ConfigError(Exception):
     """Configuration / input-schema problem (exit code 2)."""
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` for a number that must be finite (nan/inf exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +88,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="capacity-addition CSV (default: bundled fixture)")
     parser.add_argument("--scenarios-file", metavar="FILE",
                         help="scenario requirement CSV (default: bundled fixture)")
-    parser.add_argument("--policy-mt", type=float, default=7.0,
+    parser.add_argument("--policy-mt", type=_finite_float, default=7.0,
                         help="demand-side policy volume in Mt H2/yr (default 7)")
 
 
@@ -119,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("support", help="capacity supportable by a subsidy budget")
-    p.add_argument("--budget", type=float, required=True, metavar="BUSD",
+    p.add_argument("--budget", type=_finite_float, required=True, metavar="BUSD",
                    help="available subsidies in billion US$")
     p.add_argument("--allocation", default="chronological",
                    choices=["chronological", "uniform"])
@@ -195,7 +205,11 @@ def cmd_track(args) -> int:
     if len(paths) < 2:
         raise ConfigError("track needs at least two snapshot files")
     if args.vintages:
-        vintages = [int(v) for v in args.vintages.split(",")]
+        try:
+            vintages = [int(v) for v in args.vintages.split(",")]
+        except ValueError:
+            raise ConfigError(f"--vintages must be comma-separated years, "
+                              f"got {args.vintages!r}") from None
         if len(vintages) != len(paths):
             raise ConfigError("--vintages must match the number of snapshots")
     else:

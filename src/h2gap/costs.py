@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 __all__ = [
     "TimeAnchoredSeries",
@@ -54,8 +52,11 @@ class TimeAnchoredSeries:
         years = sorted(int(y) for y in anchors)
         if len(years) != len(set(years)):
             raise ValueError("anchor years must be unique")
-        self._years = np.array(years, dtype=float)
-        self._values = np.array([float(anchors[y]) for y in years])
+        self._years = [float(y) for y in years]
+        self._values = [float(anchors[y]) for y in years]
+        xs, ys = self._years, self._values
+        self._slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+                        for j in range(len(xs) - 1)]
 
     @property
     def first_year(self) -> int:
@@ -66,11 +67,19 @@ class TimeAnchoredSeries:
         return int(self._years[-1])
 
     def at(self, year: float) -> float:
-        """Value at ``year``; exact at anchors, linear in between, flat afterwards."""
-        if year < self._years[0]:
+        """Value at ``year``; exact at anchors, linear in between, flat afterwards.
+
+        The segment arithmetic ``slope * (year - x0) + y0`` is the order of
+        operations of ``numpy.interp``, so results equal it bit for bit.
+        """
+        xs = self._years
+        if year < xs[0]:
             raise ValueError(
                 f"year {year} is before the first anchor ({self.first_year})")
-        return float(np.interp(year, self._years, self._values))
+        j = bisect_right(xs, year) - 1
+        if j == len(xs) - 1 or xs[j] == year:
+            return self._values[j]
+        return self._slopes[j] * (year - xs[j]) + self._values[j]
 
     def scaled(self, factor: float) -> "TimeAnchoredSeries":
         """New series with every anchor value multiplied by ``factor``."""
@@ -78,7 +87,7 @@ class TimeAnchoredSeries:
             {int(y): v * factor for y, v in zip(self._years, self._values)})
 
     def anchors(self) -> dict[int, float]:
-        return {int(y): float(v) for y, v in zip(self._years, self._values)}
+        return {int(y): v for y, v in zip(self._years, self._values)}
 
     def __repr__(self) -> str:
         return f"TimeAnchoredSeries({self.anchors()!r})"

@@ -1,18 +1,17 @@
 """Electrolysis requirements in stringent climate scenarios and the ambition gap.
 
 Holds per-scenario 2030-2050 electrolysis capacity requirements, computes
-distribution statistics (quartiles with linear interpolation between closest
-ranks, numpy's default), the signed gap between a requirement and the project
-pipeline, and the piecewise-linear capacity trajectory that continues the
-2030 pipeline along the scenario median.
+distribution statistics (quartiles interpolated linearly between closest
+ranks: Hyndman & Fan type 7, the same as numpy's default), the signed gap
+between a requirement and the project pipeline, and the piecewise-linear
+capacity trajectory that continues the 2030 pipeline along the scenario
+median.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-
-import numpy as np
 
 from .costs import CapacityTrajectory
 from .units import production_to_capacity
@@ -104,23 +103,39 @@ def _parse_bool(text: str, path, line: int) -> bool:
     raise ValueError(f"{path}:{line}: cannot parse boolean {text!r}")
 
 
+def _quantile(xs: list[float], q: float) -> float:
+    """Quantile ``q`` in [0, 1] of the sorted list ``xs``, Hyndman & Fan type 7.
+
+    The value at position ``q * (n - 1)`` is interpolated linearly between
+    the two closest ranks. The lerp is evaluated from whichever end is
+    nearer, the association that numpy's default "linear" method uses, so
+    the result equals ``numpy.percentile`` bit for bit.
+    """
+    pos = q * (len(xs) - 1)
+    j = int(pos)
+    t = pos - j
+    a, b = xs[j], xs[min(j + 1, len(xs) - 1)]   # b == a at the top rank
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1.0 - t)
+
+
 def stats(requirements: list[ScenarioRequirement], year: int,
           exclude_outliers: bool = True) -> RequirementStats:
     """Five-number summary of the requirements for one target year.
 
-    Quartiles use linear interpolation between closest ranks
-    (``numpy.percentile`` default).
+    Quartiles are interpolated linearly between closest ranks (Hyndman &
+    Fan type 7, the same as numpy's default percentile method).
     """
-    values = [r.capacity_gw for r in requirements
-              if r.year == year and not (exclude_outliers and r.outlier)]
+    values = sorted(r.capacity_gw for r in requirements
+                    if r.year == year and not (exclude_outliers and r.outlier))
     if not values:
         raise ValueError(f"no scenario requirements for {year} "
                          f"(exclude_outliers={exclude_outliers})")
-    arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return RequirementStats(year=year, n=arr.size, minimum=float(arr.min()),
-                            q1=float(q1), median=float(med), q3=float(q3),
-                            maximum=float(arr.max()))
+    return RequirementStats(year=year, n=len(values), minimum=values[0],
+                            q1=_quantile(values, 0.25),
+                            median=_quantile(values, 0.5),
+                            q3=_quantile(values, 0.75), maximum=values[-1])
 
 
 def ambition_gap(requirement_gw: float, pipeline_gw: float) -> float:

@@ -59,6 +59,15 @@ def test_track_schema_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_track_non_integer_vintage_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
+                 "--vintages", "2021,x,2023", "--out", str(out)])
+    assert code == 2
+    assert "--vintages" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_json_and_csv_carry_identical_values(tmp_path):
     out_csv, out_json = tmp_path / "c", tmp_path / "j"
     assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
@@ -161,6 +170,20 @@ def test_support_budget_inversion(tmp_path, capsys):
 def test_support_zero_budget(tmp_path, capsys):
     assert main(["support", "--budget", "0", "--out", str(tmp_path / "o")]) == 0
     assert "supports 0.0 GW" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--budget", "nan"],
+    ["--budget", "inf"],
+    ["--budget=-inf"],
+    ["--budget", "100", "--policy-mt", "nan"],
+    ["--budget", "100", "--policy-mt", "inf"],
+])
+def test_support_non_finite_number_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["support", *flags, "--out", str(out)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
