@@ -47,6 +47,7 @@ from .projects import (
 )
 from .scenarios import ambition_gap, load_requirements, stats
 from .subsidies import (
+    FIRST_SUBSIDY_YEAR,
     capacity_supported_by_budget,
     cumulative_subsidies,
     demand_supported_additions,
@@ -64,14 +65,27 @@ class ConfigError(Exception):
 
 
 def _finite_float(text: str) -> float:
-    """argparse ``type=`` for a number that must be finite (nan/inf exit 2)."""
+    """argparse ``type=`` for an amount that must be finite and >= 0 (else exit 2)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
+
+
+def _last_year(text: str) -> int:
+    """argparse ``type=`` for ``--horizon``/``--through``: a year from 2024 on."""
+    try:
+        year = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid year: {text!r}") from None
+    if year < FIRST_SUBSIDY_YEAR:
+        raise argparse.ArgumentTypeError(f"must be >= {FIRST_SUBSIDY_YEAR}, got {year}")
+    return year
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +94,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="central",
                         choices=["central", "progressive", "conservative"])
     parser.add_argument("--carbon-pricing", default="off", choices=["on", "off"])
-    parser.add_argument("--horizon", type=int, default=2045)
+    parser.add_argument("--horizon", type=_last_year, default=2045)
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     parser.add_argument("--out", metavar="DIR", default="h2gap_out",
                         help="output directory (default: ./h2gap_out)")
@@ -121,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("subsidies", help="required annual and cumulative subsidies")
-    p.add_argument("--through", type=int,
+    p.add_argument("--through", type=_last_year,
                    help="last payment year (default: --horizon)")
     p.add_argument("--include-post2030", action="store_true",
                    help="also subsidise build years after 2030 along the "
@@ -167,15 +181,12 @@ def _require_file(path_text: str | None, fallback: Path, what: str) -> Path:
     return path
 
 
-def _load_params(args) -> ParamSet:
-    if args.params:
-        path = _require_file(args.params, Path(args.params), "parameter file")
-        try:
-            return ParamSet.from_json(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad parameter file {path}: {exc}") from None
-    path = _require_file(None, fixtures.params_path(args.scenario), "parameter file")
-    return ParamSet.from_json(path)
+def _load_params(params_file: str | None, scenario: str) -> ParamSet:
+    path = _require_file(params_file, fixtures.params_path(scenario), "parameter file")
+    try:
+        return ParamSet.from_json(path)
+    except ValueError as exc:   # json.JSONDecodeError included
+        raise ConfigError(f"bad parameter file {path}: {exc}") from None
 
 
 def _load_pipeline(args) -> CapacityTrajectory:
@@ -186,7 +197,10 @@ def _load_pipeline(args) -> CapacityTrajectory:
 def _load_requirements(args):
     path = _require_file(args.scenarios_file, fixtures.requirements_path(),
                          "scenario requirement file")
-    return load_requirements(path)
+    try:
+        return load_requirements(path)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing column {exc}") from None
 
 
 def _extended_trajectory(args, pipe: CapacityTrajectory) -> CapacityTrajectory:
@@ -293,7 +307,7 @@ def cmd_ambition(args) -> int:
 
 
 def cmd_lcoh(args) -> int:
-    params = _load_params(args)
+    params = _load_params(args.params, args.scenario)
     traj = _extended_trajectory(args, _load_pipeline(args))
     rows = []
     for year in range(2024, args.horizon + 1):
@@ -316,7 +330,7 @@ def cmd_lcoh(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    params = _load_params(args)
+    params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     traj = _extended_trajectory(args, _load_pipeline(args))
     rows = []
@@ -337,7 +351,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_subsidies(args) -> int:
-    params = _load_params(args)
+    params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     through = args.through if args.through else args.horizon
     pipe = _load_pipeline(args)
@@ -361,7 +375,7 @@ def cmd_subsidies(args) -> int:
 
 
 def cmd_support(args) -> int:
-    params = _load_params(args)
+    params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     pipe = _load_pipeline(args)
     result = capacity_supported_by_budget(args.budget, params, carbon, pipe,
@@ -395,7 +409,7 @@ def cmd_sweep(args) -> int:
                                                  requirements=reqs)
     rows = []
     for scenario in ("central", "progressive", "conservative"):
-        params = ParamSet.from_json(fixtures.params_path(scenario))
+        params = _load_params(None, scenario)
         supported = demand_supported_additions(params, pipe, args.policy_mt)
         traj = pipe.with_supported(supported)
         for carbon in (False, True):
@@ -438,10 +452,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SnapshotSchemaError as exc:
+    except (ConfigError, SnapshotSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SnapshotDataError as exc:
@@ -450,7 +461,7 @@ def main(argv=None) -> int:
         for line, msg in exc.row_errors:
             print(f"  line {line}: {msg}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

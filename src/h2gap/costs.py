@@ -14,8 +14,7 @@ installed capacity through component-specific learning rates::
     I_t = I_2023 * (C_t / C_2023) ** log2(1 - LR)
 
 ``C_t`` denotes global cumulative electrolysis capacity at the *end* of year t
-(additions of year t included); the start-of-year alternative is available via
-``investment_costs(..., contemporaneous=False)`` for sensitivity checks.
+(additions of year t included).
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
+
+from .units import _check_flh_eta
 
 __all__ = [
     "TimeAnchoredSeries",
@@ -54,6 +55,8 @@ class TimeAnchoredSeries:
             raise ValueError("anchor years must be unique")
         self._years = [float(y) for y in years]
         self._values = [float(anchors[y]) for y in years]
+        if not all(math.isfinite(v) for v in self._values):
+            raise ValueError(f"series values must be finite, got {anchors!r}")
         xs, ys = self._years, self._values
         self._slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
                         for j in range(len(xs) - 1)]
@@ -111,6 +114,8 @@ def annuity_factor(rate: float, years: float) -> float:
 def _series(obj) -> TimeAnchoredSeries:
     if isinstance(obj, TimeAnchoredSeries):
         return obj
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a mapping of year to value, got {obj!r}")
     return TimeAnchoredSeries({int(k): float(v) for k, v in obj.items()})
 
 
@@ -140,16 +145,21 @@ class ParamSet:
     emission_intensity: float               # tCO2 per MWh(gas), upstream included
 
     def __post_init__(self):
-        if not 0.0 < self.stack_share_2023 < 1.0:
-            raise ValueError("stack share must be in (0, 1)")
-        for name in ("learning_rate_stack", "learning_rate_bop"):
-            lr = getattr(self, name)
-            if not 0.0 < lr < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {lr}")
+        # series are finite by construction; float() fields may still be nan/inf.
+        # getattr, not vars(): a materialised __dict__ slows every later field read
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for eta in self.efficiency.anchors().values():
+            _check_flh_eta(self.full_load_hours, eta)
+        for name in ("stack_share_2023", "learning_rate_stack", "learning_rate_bop"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if min(self.payback_period, *self.stack_lifetime.anchors().values()) < 1.0:
+            raise ValueError("payback period and stack lifetime must be >= 1 year")
         if self.cost_of_capital <= 0.0:
             raise ValueError("cost of capital must be positive")
-        if self.payback_period < 1.0:
-            raise ValueError("payback period must be >= 1 year")
         if self.investment_2023 < 0.0:
             raise ValueError("2023 investment cost must be non-negative")
 
@@ -176,6 +186,8 @@ class ParamSet:
             )
         except KeyError as exc:
             raise ValueError(f"parameter file is missing key {exc}") from None
+        except TypeError as exc:   # e.g. a number given as a list or null
+            raise ValueError(f"parameter file has a wrong-typed value: {exc}") from None
 
     @classmethod
     def from_json(cls, path) -> "ParamSet":
@@ -201,8 +213,8 @@ class CapacityTrajectory:
     def __init__(self, base_year: int, base_capacity_gw: float,
                  additions_gw: Mapping[int, float],
                  supported_gw: Mapping[int, float] | None = None):
-        if base_capacity_gw <= 0.0:
-            raise ValueError("base capacity must be positive")
+        if not 0.0 < base_capacity_gw < math.inf:
+            raise ValueError("base capacity must be positive and finite")
         self.base_year = int(base_year)
         self.base_capacity_gw = float(base_capacity_gw)
         adds = {int(y): float(v) for y, v in additions_gw.items()}
@@ -210,8 +222,8 @@ class CapacityTrajectory:
         for y, v in adds.items():
             if y <= self.base_year:
                 raise ValueError(f"addition year {y} not after base year {base_year}")
-            if v < 0.0:
-                raise ValueError(f"negative capacity addition in {y}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"capacity addition in {y} must be finite and >= 0")
         for y, v in sup.items():
             if v < 0.0:
                 raise ValueError(f"negative supported capacity in {y}")
@@ -289,26 +301,18 @@ class InvestmentCosts:
         return self.stack / self.total
 
 
-def investment_costs(year: int, trajectory: CapacityTrajectory, params: ParamSet,
-                     contemporaneous: bool = True) -> InvestmentCosts:
+def investment_costs(year: int, trajectory: CapacityTrajectory,
+                     params: ParamSet) -> InvestmentCosts:
     """Learning-curve investment costs in ``year``.
 
     Stack and balance of plant learn separately from the 2023 base split;
     the stack share in later years is an output of the two learning curves.
-    ``contemporaneous=False`` uses start-of-year cumulative capacity instead
-    of the default end-of-year convention.
     """
     year = int(year)
     if year < trajectory.base_year:
         raise ValueError(f"year {year} is before the base year {trajectory.base_year}")
     c_base = trajectory.base_capacity_gw
-    if contemporaneous:
-        c_t = trajectory.cumulative(year)
-    else:
-        c_t = trajectory.cumulative(max(year - 1, trajectory.base_year))
-    if c_t < c_base:
-        raise ValueError(f"cumulative capacity {c_t} below the {trajectory.base_year} "
-                         f"base {c_base}")
+    c_t = trajectory.cumulative(year)
     ratio = c_t / c_base
     stack0 = params.stack_share_2023 * params.investment_2023
     bop0 = (1.0 - params.stack_share_2023) * params.investment_2023

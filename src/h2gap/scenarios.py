@@ -11,9 +11,11 @@ median.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .costs import CapacityTrajectory
+from .projects import _parse_bool
 from .units import production_to_capacity
 
 __all__ = [
@@ -42,8 +44,8 @@ class ScenarioRequirement:
     approximate: bool = False
 
     def __post_init__(self):
-        if self.capacity_gw <= 0.0:
-            raise ValueError(f"requirement capacity must be positive: {self}")
+        if not (math.isfinite(self.capacity_gw) and self.capacity_gw > 0.0):
+            raise ValueError(f"requirement capacity must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -64,43 +66,37 @@ def load_requirements(path) -> list[ScenarioRequirement]:
     outlier,approximate``. Exactly one of ``capacity_gw`` /
     ``production_mt_per_yr`` must be filled per row; production volumes are
     converted to input capacity at 3750 full-load hours and 69% efficiency.
-    Duplicate (source, scenario_name, year) keys are an error.
+    Duplicate (source, scenario_name, year) keys are an error. Row errors
+    raise ValueError prefixed ``path:line``; a missing column raises KeyError.
     """
     reqs: list[ScenarioRequirement] = []
     seen: set[tuple] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         for i, row in enumerate(csv.DictReader(fh), start=2):
-            cap = (row.get("capacity_gw") or "").strip()
-            prod = (row.get("production_mt_per_yr") or "").strip()
-            if bool(cap) == bool(prod):
-                raise ValueError(
-                    f"{path}:{i}: exactly one of capacity_gw and "
-                    "production_mt_per_yr must be given")
-            capacity = float(cap) if cap else production_to_capacity(
-                float(prod), CONVERSION_FLH, CONVERSION_EFFICIENCY)
-            req = ScenarioRequirement(
-                source=row["source"].strip(),
-                scenario_name=row["scenario_name"].strip(),
-                year=int(row["year"]),
-                capacity_gw=capacity,
-                outlier=_parse_bool(row.get("outlier", "false"), path, i),
-                approximate=_parse_bool(row.get("approximate", "false"), path, i),
-            )
-            key = (req.source, req.scenario_name, req.year)
-            if key in seen:
-                raise ValueError(f"{path}:{i}: duplicate scenario key {key}")
+            try:
+                cap = (row.get("capacity_gw") or "").strip()
+                prod = (row.get("production_mt_per_yr") or "").strip()
+                if bool(cap) == bool(prod):
+                    raise ValueError("exactly one of capacity_gw and "
+                                     "production_mt_per_yr must be given")
+                capacity = float(cap) if cap else production_to_capacity(
+                    float(prod), CONVERSION_FLH, CONVERSION_EFFICIENCY)
+                req = ScenarioRequirement(
+                    source=(row["source"] or "").strip(),
+                    scenario_name=(row["scenario_name"] or "").strip(),
+                    year=int(row["year"] or ""),
+                    capacity_gw=capacity,
+                    outlier=_parse_bool(row.get("outlier") or ""),
+                    approximate=_parse_bool(row.get("approximate") or ""),
+                )
+                key = (req.source, req.scenario_name, req.year)
+                if key in seen:
+                    raise ValueError(f"duplicate scenario key {key}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i}: {exc}") from None
             seen.add(key)
             reqs.append(req)
     return reqs
-
-
-def _parse_bool(text: str, path, line: int) -> bool:
-    t = (text or "false").strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no", ""):
-        return False
-    raise ValueError(f"{path}:{line}: cannot parse boolean {text!r}")
 
 
 def _quantile(xs: list[float], q: float) -> float:

@@ -210,9 +210,6 @@ class BudgetSupportResult:
         return self.subsidy_supported_gw + self.demand_supported_gw
 
 
-BUDGET_TOLERANCE_BUSD = 0.1
-
-
 def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
                                  carbon_pricing: bool,
                                  pipeline: CapacityTrajectory,
@@ -228,8 +225,9 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     ``allocation='chronological'`` fills build years in order until the money
     runs out, which mirrors projects coming online as announced;
     ``allocation='uniform'`` instead scales every year's net additions by one
-    factor found by bisection. A budget larger than the full-pipeline
-    requirement returns the whole pipeline with ``saturated=True``.
+    factor ``budget / full_cost``, exact because spend is linear in it. A
+    budget at or above the full-pipeline requirement returns the whole
+    pipeline with ``saturated=True``.
     """
     if budget_busd < 0.0:
         raise ValueError(f"budget must be >= 0, got {budget_busd}")
@@ -265,17 +263,7 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
                 remaining = 0.0
                 break
     else:
-        # bisect the uniform scaling factor; S(lambda) is monotone in lambda
-        lo, hi = 0.0, 1.0
-        def spend(lam: float) -> float:
-            return sum(lam * net[y] * unit_cost[y] for y in build_years)
-        while spend(hi) - spend(lo) > BUDGET_TOLERANCE_BUSD / 2.0:
-            mid = 0.5 * (lo + hi)
-            if spend(mid) <= budget_busd:
-                lo = mid
-            else:
-                hi = mid
-        lam = lo
+        lam = budget_busd / full_cost   # full_cost > budget >= 0 here
         per_year = {y: lam * net[y] for y in build_years}
 
     spent = sum(per_year[y] * unit_cost[y] for y in build_years)

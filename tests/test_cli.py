@@ -186,6 +186,79 @@ def test_support_non_finite_number_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, report", [
+    (["lcoh", "--horizon", "2020"], "lcoh"),
+    (["gap", "--horizon", "2020"], "gap"),
+    (["sweep", "--horizon", "2023"], "sweep"),
+    (["subsidies", "--through", "2023"], "subsidies"),
+    (["support", "--budget", "-5"], "support"),
+    (["support", "--budget", "100", "--policy-mt", "-1"], "support"),
+])
+def test_flag_below_its_range_is_usage_error(tmp_path, capsys, argv, report):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "must be >=" in capsys.readouterr().err
+    assert not (out / f"{report}.csv").exists()
+
+
+def test_out_under_regular_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["lcoh", "--out", str(blocker / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _edited_params(tmp_path, key, value) -> Path:
+    raw = json.loads(fixtures.params_path("central").read_text())
+    raw[key] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cost_of_capital", float("nan")),
+    ("investment_2023_usd_per_kw", float("inf")),
+    ("full_load_hours", 0),
+    ("full_load_hours", 9000),
+    ("efficiency_lhv", {"2024": 0.0}),
+    ("efficiency_lhv", {"2024": 1.2}),
+    ("stack_lifetime_yr", {"2024": 0.5}),
+    ("electricity_usd_per_mwh", {"2024": float("nan")}),
+    ("gas_usd_per_mwh", "19"),
+    ("full_load_hours", [3750]),
+])
+def test_invalid_params_file_is_usage_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    params = _edited_params(tmp_path, key, value)
+    assert main(["lcoh", "--params", str(params), "--out", str(out)]) == 2
+    assert "bad parameter file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lcoh", "sweep"])
+def test_missing_bundled_params_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               command):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("pipeline_additions.csv", "scenario_requirements.csv"):
+        (data / name).write_bytes((fixtures.data_dir() / name).read_bytes())
+    monkeypatch.setenv(fixtures.ENV_DATA_DIR, str(data))
+    assert main([command, "--out", str(tmp_path / "out")]) == 2
+    assert "parameter file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, value):
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text(f"year,additions_gw,approximate\n2023,1.86,false\n"
+                    f"2024,{value},false\n")
+    out = tmp_path / "out"
+    assert main(["lcoh", "--pipeline", str(pipe), "--out", str(out)]) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ambition
 # ---------------------------------------------------------------------------
@@ -225,6 +298,31 @@ def test_ambition_empty_scenario_set_exits_2(tmp_path):
                     "outlier,approximate\n")
     assert main(["ambition", "--scenarios-file", str(reqs),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("column", ["source", "scenario_name", "year"])
+def test_ambition_missing_requirement_column_exits_2(tmp_path, capsys, column):
+    names = ["source", "scenario_name", "year", "capacity_gw",
+             "production_mt_per_yr", "outlier", "approximate"]
+    values = dict(zip(names, ["Only", "solo", "2030", "500", "", "false", "false"]))
+    kept = [n for n in names if n != column]
+    reqs = tmp_path / "reqs.csv"
+    reqs.write_text(",".join(kept) + "\n" + ",".join(values[n] for n in kept) + "\n")
+    out = tmp_path / "out"
+    assert main(["ambition", "--scenarios-file", str(reqs), "--out", str(out)]) == 2
+    assert f"missing column '{column}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("capacity", ["nan", "inf"])
+def test_ambition_non_finite_requirement_exits_3(tmp_path, capsys, capacity):
+    reqs = tmp_path / "reqs.csv"
+    reqs.write_text("source,scenario_name,year,capacity_gw,production_mt_per_yr,"
+                    f"outlier,approximate\nOnly,solo,2030,{capacity},,false,false\n")
+    out = tmp_path / "out"
+    assert main(["ambition", "--scenarios-file", str(reqs), "--out", str(out)]) == 3
+    assert f"{reqs}:2:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -204,12 +204,6 @@ def test_halving_learning_rate_raises_costs(central):
         > investment_costs(2024, traj, central).total
 
 
-def test_start_of_year_option_lags_by_one_year(pipeline_traj, central):
-    lagged = investment_costs(2025, pipeline_traj, central, contemporaneous=False)
-    assert lagged.cumulative_capacity_gw == pytest.approx(
-        pipeline_traj.cumulative(2024))
-
-
 def test_year_before_base_is_error(pipeline_traj, central):
     with pytest.raises(ValueError):
         investment_costs(2022, pipeline_traj, central)

@@ -167,5 +167,21 @@ def test_exactly_one_quantity_column_required(tmp_path):
 
 
 def test_nonpositive_capacity_rejected():
-    with pytest.raises(ValueError):
-        ScenarioRequirement("A", "x", 2030, 0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScenarioRequirement("A", "x", 2030, bad)
+
+
+@pytest.mark.parametrize("row", [
+    "A,x,20x0,100,,false,false",    # bad year
+    "A,x,2030,nan,,false,false",    # non-finite capacity
+    "A,x,2030,,inf,false,false",    # non-finite production
+    "A,x,2030,100,,maybe,false",    # bad boolean
+])
+def test_row_errors_name_their_line(tmp_path, row):
+    path = tmp_path / "reqs.csv"
+    path.write_text(
+        "source,scenario_name,year,capacity_gw,production_mt_per_yr,outlier,approximate\n"
+        f"B,y,2030,50,,false,false\n{row}\n")
+    with pytest.raises(ValueError, match=":3: "):
+        load_requirements(path)

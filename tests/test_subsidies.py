@@ -357,6 +357,48 @@ def test_uniform_allocation_matches_linear_solution(central, pipeline_traj):
         == pytest.approx(lam * full.subsidy_supported_gw, abs=0.05)
 
 
+@pytest.mark.parametrize("carbon", [False, True])
+@pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+def test_uniform_budget_is_spent_exactly(central, pipeline_traj, carbon, share):
+    full = capacity_supported_by_budget(1e6, central, carbon, pipeline_traj)
+    budget = share * full.spent_busd
+    res = capacity_supported_by_budget(budget, central, carbon, pipeline_traj,
+                                       allocation="uniform")
+    assert not res.saturated
+    assert res.spent_busd == pytest.approx(budget, rel=1e-12)
+    lam = budget / full.spent_busd
+    for year, net in full.per_year_gw.items():
+        assert res.per_year_gw[year] == pytest.approx(lam * net, rel=1e-12)
+
+
+@pytest.mark.parametrize("carbon", [False, True])
+def test_saturated_spend_equals_uncut_ledger_total(central, pipeline_traj,
+                                                   offset_traj, carbon):
+    res = capacity_supported_by_budget(1e6, central, carbon, pipeline_traj)
+    assert res.saturated
+    additions = {y: offset_traj.addition(y) for y in offset_traj.build_years}
+    supported = {y: offset_traj.supported(y) for y in offset_traj.build_years}
+    through = offset_traj.last_year + int(central.payback_period) - 1
+    ledger = _oracle_annual_subsidies(additions, supported, central, carbon, through)
+    assert res.spent_busd == pytest.approx(sum(ledger.values()), rel=1e-9)
+
+
+@pytest.mark.parametrize("allocation", ["chronological", "uniform"])
+def test_budget_inversion_prices_each_build_year_once(central, pipeline_traj,
+                                                      monkeypatch, allocation):
+    import h2gap.subsidies
+    calls = []
+
+    def counting_lcoh(year, trajectory, params):
+        calls.append(year)
+        return lcoh(year, trajectory, params)
+
+    monkeypatch.setattr(h2gap.subsidies, "lcoh", counting_lcoh)
+    capacity_supported_by_budget(308.0, central, False, pipeline_traj,
+                                 allocation=allocation)
+    assert sorted(calls) == pipeline_traj.build_years
+
+
 def test_chronological_fills_early_years_first(central, pipeline_traj):
     res = capacity_supported_by_budget(308.0, central, False, pipeline_traj)
     years = sorted(res.per_year_gw)
