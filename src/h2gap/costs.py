@@ -23,6 +23,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Mapping
 
 from .units import _check_flh_eta
@@ -232,6 +233,10 @@ class CapacityTrajectory:
                     f"supported capacity exceeds additions in {y}: {v} > {adds.get(y, 0.0)}")
         self._additions = dict(sorted(adds.items()))
         self._supported = {y: sup.get(y, 0.0) for y in self._additions}
+        # running sums of the additions, left to right as ``sum`` adds floats
+        # up to Python 3.11: ``_running[k]`` covers the first k build years
+        self._years = list(self._additions)
+        self._running = [0.0, *accumulate(self._additions.values())]
 
     @property
     def build_years(self) -> list[int]:
@@ -256,8 +261,7 @@ class CapacityTrajectory:
         year = int(year)
         if year < self.base_year:
             raise ValueError(f"year {year} is before the base year {self.base_year}")
-        return self.base_capacity_gw + sum(
-            v for y, v in self._additions.items() if y <= year)
+        return self.base_capacity_gw + self._running[bisect_right(self._years, year)]
 
     def total_additions(self) -> float:
         return sum(self._additions.values())

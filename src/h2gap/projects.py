@@ -22,9 +22,11 @@ line-level diagnostics.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -101,8 +103,9 @@ class ProjectRecord:
     synthetic: bool = False   # pro-rata share of a confidential project; untrackable
 
     def __post_init__(self):
-        if self.capacity_mw is not None and self.capacity_mw <= 0.0:
-            raise ValueError(f"{self.ref_id}: capacity must be positive when present")
+        if self.capacity_mw is not None and not 0.0 < self.capacity_mw < math.inf:
+            raise ValueError(f"{self.ref_id}: capacity must be positive and finite "
+                             f"when present")
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,22 @@ class Snapshot:
         return f"Snapshot({self.vintage_year}, {len(self.records)} records)"
 
 
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False, "": False}
+
+
 def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no", ""):
-        return False
-    raise ValueError(f"cannot parse boolean {text!r}")
+    value = _BOOLS.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"cannot parse boolean {text!r}")
+    return value
+
+
+def _parse_status(text: str) -> Status:
+    status = _STATUS_ALIASES.get(" ".join(text.lower().split()))
+    if status is None:
+        raise ValueError(f"unknown status {text.strip()!r}")
+    return status
 
 
 def load_snapshot(path, vintage_year: int) -> Snapshot:
@@ -158,82 +170,83 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     Decommissioned according to their ``demo_state``. The kept/dropped
     tally is attached as ``snapshot.load_report``.
 
+    As with :class:`csv.DictReader`, blank lines are skipped, missing
+    trailing fields read as empty, extra fields are ignored and of a
+    duplicated column name the last one counts.
+
     Raises :class:`SnapshotSchemaError` for a malformed header,
-    :class:`SnapshotDataError` (with line numbers) for unparseable rows or
-    duplicated reference ids.
+    :class:`SnapshotDataError` for unparseable rows or duplicated reference
+    ids. Each row error names the physical file line the record ends on.
     """
     records: list[ProjectRecord] = []
     errors: list[tuple[int, str]] = []
     dropped = Counter()
     seen: set[str] = set()
+    statuses: dict[str, Status] = {}   # raw status text -> status, per load
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SnapshotSchemaError(f"{path}: missing column(s) {missing}")
-        for line, row in enumerate(reader, start=2):
+        index = {name: i for i, name in enumerate(header)}
+        fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
+        demo_col = index.get("demo_state")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            ref_id, name, country, region, status_text, launch_text, cap_text, \
+                conf_text = fields(row)
             try:
-                rec = _parse_row(row, header)
+                ref_id = ref_id.strip()
+                if not ref_id:
+                    raise ValueError("empty ref_id")
+                status = statuses.get(status_text)
+                if status is None:
+                    status = statuses[status_text] = _parse_status(status_text)
+                launch_text = launch_text.strip()
+                launch_year = int(launch_text) if launch_text else None
+                cap_text = cap_text.strip()
+                capacity = float(cap_text) if cap_text else None
+                if capacity is not None:
+                    if capacity <= 0.0:
+                        raise ValueError(f"capacity must be positive, got {capacity}")
+                    if not capacity < math.inf:
+                        raise ValueError(f"capacity must be finite, got {capacity}")
+                confidential = _parse_bool(conf_text)
+                if status is Status.DEMO:
+                    if demo_col is None:
+                        raise ValueError("DEMO row requires a demo_state column")
+                    state = row[demo_col].strip().lower()
+                    if state not in _DEMO_STATES:
+                        raise ValueError(f"DEMO row needs demo_state in "
+                                         f"{sorted(_DEMO_STATES)}, got {state!r}")
+                    status = _DEMO_STATES[state]
             except ValueError as exc:
-                errors.append((line, str(exc)))
+                errors.append((reader.line_num, str(exc)))
                 continue
-            if rec is None:
-                continue
-            rec, drop_reason = rec
-            if drop_reason is not None:
-                dropped[drop_reason] += 1
-                continue
-            if rec.ref_id in seen:
-                errors.append((line, f"duplicate ref_id {rec.ref_id!r}"))
-                continue
-            seen.add(rec.ref_id)
-            records.append(rec)
+            if status is Status.OTHER:
+                dropped["status_other"] += 1
+            elif launch_year is None:
+                dropped["missing_launch_year"] += 1
+            elif capacity is None:
+                dropped["missing_capacity"] += 1
+            elif ref_id in seen:
+                errors.append((reader.line_num, f"duplicate ref_id {ref_id!r}"))
+            else:
+                seen.add(ref_id)
+                records.append(ProjectRecord(
+                    ref_id=ref_id, name=name.strip(), country=country.strip(),
+                    region=region.strip(), status=status, launch_year=launch_year,
+                    capacity_mw=capacity, confidential=confidential))
     if errors:
         raise SnapshotDataError(path, errors)
     report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
                         dropped_reasons=dict(dropped))
     return Snapshot(vintage_year, records, load_report=report)
-
-
-def _parse_row(row: Mapping[str, str], header: Sequence[str]):
-    """Parse one CSV row -> (record, drop_reason) or raise ValueError."""
-    ref_id = (row["ref_id"] or "").strip()
-    if not ref_id:
-        raise ValueError("empty ref_id")
-    status_text = (row["status"] or "").strip()
-    status = _STATUS_ALIASES.get(" ".join(status_text.lower().split()))
-    if status is None:
-        raise ValueError(f"unknown status {status_text!r}")
-    launch_text = (row["launch_year"] or "").strip()
-    launch_year = int(launch_text) if launch_text else None
-    cap_text = (row["capacity_mw_el"] or "").strip()
-    capacity = float(cap_text) if cap_text else None
-    if capacity is not None and capacity <= 0.0:
-        raise ValueError(f"capacity must be positive, got {capacity}")
-    confidential = _parse_bool(row["confidential"] or "")
-    if status is Status.DEMO:
-        if "demo_state" not in header:
-            raise ValueError("DEMO row requires a demo_state column")
-        state = (row.get("demo_state") or "").strip().lower()
-        if state not in _DEMO_STATES:
-            raise ValueError(f"DEMO row needs demo_state in {sorted(_DEMO_STATES)}, "
-                             f"got {state!r}")
-        status = _DEMO_STATES[state]
-
-    drop_reason = None
-    if status is Status.OTHER:
-        drop_reason = "status_other"
-    elif launch_year is None:
-        drop_reason = "missing_launch_year"
-    elif capacity is None:
-        drop_reason = "missing_capacity"
-    rec = ProjectRecord(ref_id=ref_id, name=(row["name"] or "").strip(),
-                        country=(row["country"] or "").strip(),
-                        region=(row["region"] or "").strip(), status=status,
-                        launch_year=launch_year, capacity_mw=capacity,
-                        confidential=confidential)
-    return rec, drop_reason
 
 
 def distribute_confidential(snapshot: Snapshot) -> Snapshot:

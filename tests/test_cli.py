@@ -51,6 +51,39 @@ def test_track_bad_rows_exit_3_with_diagnostics(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("capacity", ["nan", "inf"])
+def test_non_finite_snapshot_capacity_exits_3_without_reports(tmp_path, capsys,
+                                                              capacity):
+    snap = tmp_path / "snap2021.csv"
+    snap.write_text(fixtures.snapshot_path(2021).read_text()
+                    + f"ZZ-NAN,x,DEU,Europe,Concept,2022,{capacity},false\n")
+    out = tmp_path / "out"
+    code = main(["track", "--snapshots",
+                 f"{snap},{fixtures.snapshot_path(2022)},{fixtures.snapshot_path(2023)}",
+                 "--target-year", "2022", "--out", str(out)])
+    assert code == 3
+    assert f"line 13: capacity must be finite, got {capacity}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ambition", "--snapshot", str(snap), "--out", str(out)]) == 3
+    assert "line 13: capacity must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_error_lines_are_physical_lines(tmp_path, capsys):
+    # a blank line and a quoted name spanning two lines put the bad row on line 6
+    bad = tmp_path / "lines2021.csv"
+    bad.write_text("ref_id,name,country,region,status,launch_year,"
+                   "capacity_mw_el,confidential\n"
+                   "A,one,DEU,Europe,Concept,2022,10,false\n"
+                   "\n"
+                   'B,"two\nlines",DEU,Europe,Concept,2022,10,false\n'
+                   "C,three,DEU,Europe,Mystery,2022,10,false\n")
+    code = main(["track", "--snapshots", f"{bad},{fixtures.snapshot_path(2023)}",
+                 "--target-year", "2022", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "line 6: unknown status 'Mystery'" in capsys.readouterr().err
+
+
 def test_track_schema_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "cols2021.csv"
     bad.write_text("ref_id,name\nA,x\n")

@@ -8,6 +8,7 @@ from h2gap import (
     ParamSet,
     TimeAnchoredSeries,
     annuity_factor,
+    fixtures,
     investment_costs,
     lcoh,
 )
@@ -88,6 +89,17 @@ def test_cumulative_is_end_of_year():
     assert traj.cumulative(2024) == pytest.approx(11.86)
     assert traj.cumulative(2025) == pytest.approx(31.86)
     assert traj.cumulative(2030) == pytest.approx(31.86)  # flat after last addition
+
+
+def test_cumulative_equals_summing_the_additions(pipeline_traj, extended_traj):
+    # the prefix sums must reproduce the direct sum bit for bit: reports were
+    # written with it (``sum`` adds floats left to right up to Python 3.11)
+    for traj in (pipeline_traj, extended_traj, fixtures.median_extended_pipeline(2100),
+                 pipeline_traj.extended({2031: 0.1, 2033: 2.7})):
+        adds = [(y, traj.addition(y)) for y in traj.build_years]
+        for year in range(traj.base_year, traj.last_year + 3):
+            assert traj.cumulative(year) == \
+                traj.base_capacity_gw + sum(v for y, v in adds if y <= year)
 
 
 def test_trajectory_validation():

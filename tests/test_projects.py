@@ -1,3 +1,6 @@
+import csv
+import random
+
 import pytest
 
 from h2gap import (
@@ -14,7 +17,14 @@ from h2gap import (
     sankey_flows,
     track,
 )
-from h2gap.projects import SnapshotDataError, SnapshotSchemaError
+from h2gap import projects
+from h2gap.projects import (
+    _DEMO_STATES,
+    _STATUS_ALIASES,
+    LoadReport,
+    SnapshotDataError,
+    SnapshotSchemaError,
+)
 
 HEADER = "ref_id,name,country,region,status,launch_year,capacity_mw_el,confidential\n"
 
@@ -111,6 +121,118 @@ def test_demo_rows_need_demo_state(tmp_path):
     path.write_text(header + "A,huh,DEU,Europe,DEMO,2023,10,false,paused\n")
     with pytest.raises(SnapshotDataError):
         load_snapshot(path, 2023)
+
+
+def _variants(word: str) -> list[str]:
+    """Case and whitespace spellings that normalise back to ``word``."""
+    return [word, word.upper(), f"  {word.title()} ", word.replace(" ", " \t ")]
+
+
+# `name` appears twice: the loader reads the last one, as csv.DictReader does
+SYNTHETIC_HEADER = ["ref_id", "name", "country", "region", "status", "launch_year",
+                    "capacity_mw_el", "confidential", "name", "demo_state"]
+
+
+def _synthetic_snapshot(seed: int):
+    """Rows of a snapshot with every status, DEMO state and boolean spelling,
+    every drop reason, short rows and extra fields, and the records and
+    load report the loader must return for them."""
+    rng = random.Random(seed)
+    cases = [(spelling, status, "") for alias, status in _STATUS_ALIASES.items()
+             if status is not Status.DEMO for spelling in _variants(alias)]
+    cases += [(rng.choice(_variants("demo")), status, spelling)
+              for state, status in _DEMO_STATES.items()
+              for spelling in _variants(state)]
+    cases += [("Concept", Status.CONCEPT, "")] * 6
+    rng.shuffle(cases)
+    bools = [(spelling, text in ("true", "1", "yes"))
+             for text in ("true", "1", "yes", "false", "0", "no", "")
+             for spelling in _variants(text)]
+    rows, records, dropped = [], [], {}
+    for i, (status_text, status, demo_state) in enumerate(cases):
+        ref_id, name = f"R{i:04d}", f"Project {i}"
+        launch = rng.randint(2018, 2035)
+        capacity = round(rng.uniform(0.1, 3000.0), 1)
+        conf_text, confidential = bools[i % len(bools)]
+        drop = None
+        if status is Status.OTHER:
+            drop = "status_other"
+        elif i % 9 == 1:
+            drop = "missing_launch_year"
+        elif i % 9 == 2:
+            drop = "missing_capacity"
+        row = [f" {ref_id} ", f"decoy {i}", " DEU", "Europe ", status_text,
+               "" if drop == "missing_launch_year" else f" {launch}",
+               "" if drop == "missing_capacity" else f"{capacity!r} ",
+               conf_text, f" {name}", demo_state]
+        if not demo_state and i % 5 == 0:
+            row, name = row[:8], ""       # short row: both names read as empty
+        elif i % 7 == 0:
+            row += ["extra", "fields"]
+        rows.append(row)
+        if i % 11 == 0:
+            rows.append([])               # a blank line
+        if drop is None:
+            records.append(ProjectRecord(
+                ref_id=ref_id, name=name, country="DEU", region="Europe",
+                status=status, launch_year=launch, capacity_mw=capacity,
+                confidential=confidential))
+        else:
+            dropped[drop] = dropped.get(drop, 0) + 1
+    report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
+                        dropped_reasons=dropped)
+    return rows, records, report
+
+
+def _write_synthetic(tmp_path, seed: int):
+    rows, records, report = _synthetic_snapshot(seed)
+    path = tmp_path / f"synthetic{seed}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SYNTHETIC_HEADER)
+        writer.writerows(rows)
+    return path, records, report
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_synthetic_snapshot_loads_to_expected_records(tmp_path, seed):
+    path, records, report = _write_synthetic(tmp_path, seed)
+    snap = load_snapshot(path, 2023)
+    assert snap.records == tuple(sorted(records, key=lambda r: r.ref_id))
+    assert snap.load_report == report
+    assert set(report.dropped_reasons) == {"status_other", "missing_launch_year",
+                                           "missing_capacity"}
+    assert {r.confidential for r in records} == {True, False}
+
+
+def test_one_record_built_per_kept_row(tmp_path, monkeypatch):
+    path, records, report = _write_synthetic(tmp_path, 4)
+    built = []
+
+    def counting_record(*args, **kwargs):
+        built.append(kwargs["ref_id"])
+        return ProjectRecord(*args, **kwargs)
+
+    monkeypatch.setattr(projects, "ProjectRecord", counting_record)
+    snap = load_snapshot(path, 2023)
+    assert report.dropped > 0
+    assert len(built) == snap.load_report.kept == len(records)
+
+
+def test_non_finite_capacity_is_row_error(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(HEADER + "A,one,DEU,Europe,Concept,2024,10,false\n"
+                    + "B,two,DEU,Europe,Concept,2024,nan,false\n"
+                    + "C,three,DEU,Europe,Concept,2024, INF ,false\n"
+                    + "D,four,DEU,Europe,Concept,2024,-inf,false\n")
+    with pytest.raises(SnapshotDataError) as exc:
+        load_snapshot(path, 2023)
+    assert exc.value.row_errors == [(3, "capacity must be finite, got nan"),
+                                    (4, "capacity must be finite, got inf"),
+                                    (5, "capacity must be positive, got -inf")]
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _rec("A", cap=bad)
 
 
 # ---------------------------------------------------------------------------
