@@ -114,7 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="track a launch-year cohort across vintages")
     p.add_argument("--snapshots", required=True,
-                   help="comma-separated snapshot CSVs, oldest first")
+                   help="comma-separated snapshot CSVs, oldest first. The "
+                        "first gives the cohort, the last its fate, every "
+                        "file a Sankey stage. The second is the 'later' "
+                        "vintage: it sets only the cohort's revised "
+                        "expectation, which no report file holds (with two "
+                        "files the first serves)")
     p.add_argument("--target-year", type=int, required=True)
     p.add_argument("--vintages",
                    help="comma-separated vintage years (default: from file names)")
@@ -234,12 +239,19 @@ def cmd_track(args) -> int:
                 raise ConfigError(f"cannot infer vintage year from {p!r}; "
                                   "pass --vintages")
             vintages.append(int(m.group(1)))
+    # track() and sankey_flows() raise ValueError for these too, but only
+    # after every snapshot is loaded and as a data error (exit 3); here they
+    # are flag errors, found before any file is read.
+    if any(b < a for a, b in zip(vintages, vintages[1:])):
+        raise ConfigError(f"snapshots must be given oldest first, got vintages "
+                          f"{vintages}")
+    if args.target_year > vintages[-1]:
+        raise ConfigError(f"--target-year {args.target_year} is after the last "
+                          f"vintage {vintages[-1]}")
     snaps = [load_snapshot(_require_file(p, Path(p), "snapshot"), v)
              for p, v in zip(paths, vintages)]
     for snap, path in zip(snaps, paths):
-        rep = snap.load_report
-        print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped "
-              f"{dict(rep.dropped_reasons) or ''}")
+        _print_load_report(path, snap)
 
     report = track(snaps[0], snaps[1] if len(snaps) > 2 else snaps[0],
                    snaps[-1], args.target_year)
@@ -266,6 +278,12 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
+def _print_load_report(path, snap) -> None:
+    rep = snap.load_report
+    print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped "
+          f"{dict(rep.dropped_reasons) or ''}")
+
+
 def _share_row(shares) -> dict:
     return {"success": shares.success, "delayed": shares.delayed,
             "disappeared": shares.disappeared}
@@ -283,6 +301,7 @@ def cmd_ambition(args) -> int:
                               "snapshot")
     m = re.search(r"(\d{4})", snap_path.stem)
     snap = load_snapshot(snap_path, int(m.group(1)) if m else 0)
+    _print_load_report(snap_path, snap)
     pipe_gw = pipeline(snap, args.year).cumulative_total(args.year)
 
     out = Path(args.out)

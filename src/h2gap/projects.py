@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -89,23 +89,35 @@ class SnapshotDataError(ValueError):
         super().__init__(f"{path}: {len(row_errors)} bad row(s): {lines}")
 
 
-@dataclass(frozen=True)
-class ProjectRecord:
-    """One project announcement row. Capacity is MW of electrical input."""
-    ref_id: str
-    name: str
-    country: str
-    region: str
-    status: Status
-    launch_year: int | None
-    capacity_mw: float | None
-    confidential: bool = False
-    synthetic: bool = False   # pro-rata share of a confidential project; untrackable
+class ProjectRecord(namedtuple("_ProjectRecord", (
+        "ref_id", "name", "country", "region", "status", "launch_year",
+        "capacity_mw", "confidential", "synthetic"))):
+    """One project announcement row. Capacity is MW of electrical input.
 
-    def __post_init__(self):
-        if self.capacity_mw is not None and not 0.0 < self.capacity_mw < math.inf:
-            raise ValueError(f"{self.ref_id}: capacity must be positive and finite "
+    A named tuple because a snapshot load builds one per kept row: with an
+    explicit ``__new__`` signature it costs about a third of a frozen
+    dataclass. Records are immutable and hashable; like any tuple they equal
+    a plain tuple with the same values. ``__new__`` is the only way in:
+    ``_make`` (and so ``_replace``) and unpickling go through it too.
+    ``synthetic`` marks a pro-rata share of a confidential project, which
+    cannot be tracked.
+    """
+    __slots__ = ()
+
+    def __new__(cls, ref_id: str, name: str, country: str, region: str,
+                status: Status, launch_year: int | None,
+                capacity_mw: float | None, confidential: bool = False,
+                synthetic: bool = False):
+        if capacity_mw is not None and not 0.0 < capacity_mw < math.inf:
+            raise ValueError(f"{ref_id}: capacity must be positive and finite "
                              f"when present")
+        return tuple.__new__(cls, (ref_id, name, country, region, status,
+                                   launch_year, capacity_mw, confidential,
+                                   synthetic))
+
+    @classmethod
+    def _make(cls, iterable) -> ProjectRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

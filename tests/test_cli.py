@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from h2gap import fixtures
+from h2gap import fixtures, track
 from h2gap.cli import main
 
 SNAPSHOT_ARGS = ",".join(str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023))
@@ -99,6 +99,56 @@ def test_track_non_integer_vintage_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert "--vintages" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("years, target, message", [
+    ((2023, 2022, 2021), "2022", "oldest first"),
+    ((2021, 2022, 2023), "2030", "after the last vintage 2023"),
+])
+def test_track_flag_mismatch_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                    years, target, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a snapshot was read")
+
+    monkeypatch.setattr("h2gap.cli.load_snapshot", no_load)
+    out = tmp_path / "out"
+    snapshots = ",".join(str(fixtures.snapshot_path(v)) for v in years)
+    code = main(["track", "--snapshots", snapshots, "--target-year", target,
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_second_of_four_snapshots_is_the_later_vintage(tmp_path, monkeypatch):
+    reports = []
+
+    def recording_track(*args, **kwargs):
+        reports.append(track(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("h2gap.cli.track", recording_track)
+    three, four = tmp_path / "three", tmp_path / "four"
+    assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
+                 "--out", str(three)]) == 0
+    # the third file repeats the 2021 data, so taking it as the later or the
+    # final vintage would change the results below
+    snap = {v: str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023)}
+    four_args = ",".join((snap[2021], snap[2022], snap[2021], snap[2023]))
+    assert main(["track", "--snapshots", four_args, "--vintages",
+                 "2021,2022,2022,2023", "--target-year", "2022",
+                 "--out", str(four)]) == 0
+    fourth = reports[-1]
+    assert (fourth.earlier_vintage, fourth.later_vintage,
+            fourth.final_vintage) == (2021, 2022, 2023)
+    assert fourth.announced_mw == 5000.0
+    assert fourth.later_announced_mw == reports[0].later_announced_mw == 3000.0
+    for name in ("transitions", "fate_rates"):
+        assert (four / f"{name}.csv").read_bytes() == \
+            (three / f"{name}.csv").read_bytes()
+    nodes = _read_csv(four / "sankey_nodes.csv")
+    assert sorted({(int(r["stage"]), r["stage_label"]) for r in nodes}) == [
+        (0, "2021"), (1, "2022"), (2, "2022"), (3, "2023"), (4, "outcome")]
 
 
 def test_track_json_and_csv_carry_identical_values(tmp_path):
@@ -304,6 +354,15 @@ def test_ambition_bundled_headline(tmp_path, capsys):
     assert float(stat["pipeline_gw"]) == pytest.approx(441.0)
     assert float(stat["median_gap_gw"]) == pytest.approx(-91.0)
     assert int(stat["n"]) == 15
+
+
+def test_ambition_prints_snapshot_load_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    snap = fixtures.snapshot_path(2021)
+    assert main(["ambition", "--snapshot", str(snap), "--out", str(out)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"loaded {snap}: 8 kept, 3 dropped {{'missing_launch_year': 1, "
+                     f"'missing_capacity': 1, 'status_other': 1}}")
 
 
 def test_ambition_with_outlier(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import pickle
 import random
 
 import pytest
@@ -233,6 +234,48 @@ def test_non_finite_capacity_is_row_error(tmp_path):
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             _rec("A", cap=bad)
+
+
+def test_record_is_immutable():
+    rec = _rec("A")
+    with pytest.raises(AttributeError):
+        rec.capacity_mw = 5.0
+    with pytest.raises(AttributeError):
+        rec.note = "x"
+
+
+def test_record_has_no_instance_dict():
+    assert not hasattr(_rec("A"), "__dict__")
+
+
+def test_records_hash_and_compare_by_value():
+    a, b = _rec("A", cap=50.0), _rec("A", cap=50.0)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, _rec("A", cap=60.0)}) == 2
+    assert a != _rec("A", cap=50.0, synthetic=True)
+
+
+def test_record_pickle_round_trip():
+    rec = _rec("A", status=Status.DEMO, launch=None, confidential=True)
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is ProjectRecord
+    assert repr(back) == repr(rec)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_every_construction_path_validates_capacity(bad):
+    rec = _rec("A")
+    values = tuple(rec)[:6] + (bad,) + tuple(rec)[7:]
+    for build in (lambda: rec._replace(capacity_mw=bad),
+                  lambda: ProjectRecord._make(values),
+                  lambda: ProjectRecord(*values),
+                  # a record forged past __new__ is checked when unpickled
+                  lambda: pickle.loads(pickle.dumps(
+                      tuple.__new__(ProjectRecord, values)))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build()
+    assert rec._replace(capacity_mw=None).capacity_mw is None
 
 
 # ---------------------------------------------------------------------------
