@@ -22,6 +22,10 @@ problems; 3 for data-validation failures in otherwise well-formed inputs
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values.
+
+At module level this imports only the stdlib and :mod:`h2gap.units`. Each
+command imports its own side of the package when it runs: ``track`` the
+project side only, the five cost commands never the project side.
 """
 
 from __future__ import annotations
@@ -34,26 +38,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import fixtures
-from .costs import CapacityTrajectory, ParamSet, lcoh
-from .projects import (
-    SnapshotDataError,
-    SnapshotSchemaError,
-    fate_rates,
-    load_snapshot,
-    pipeline,
-    sankey_flows,
-    track,
-)
-from .scenarios import ambition_gap, load_requirements, stats
-from .subsidies import (
-    FIRST_SUBSIDY_YEAR,
-    capacity_supported_by_budget,
-    cumulative_subsidies,
-    demand_supported_additions,
-    gas_cost,
-    parity_year,
-)
+from .units import FIRST_SUBSIDY_YEAR, SnapshotDataError, SnapshotSchemaError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,7 +171,10 @@ def _require_file(path_text: str | None, fallback: Path, what: str) -> Path:
     return path
 
 
-def _load_params(params_file: str | None, scenario: str) -> ParamSet:
+def _load_params(params_file: str | None, scenario: str):
+    from . import fixtures
+    from .costs import ParamSet
+
     path = _require_file(params_file, fixtures.params_path(scenario), "parameter file")
     try:
         return ParamSet.from_json(path)
@@ -194,12 +182,17 @@ def _load_params(params_file: str | None, scenario: str) -> ParamSet:
         raise ConfigError(f"bad parameter file {path}: {exc}") from None
 
 
-def _load_pipeline(args) -> CapacityTrajectory:
+def _load_pipeline(args):
+    from . import fixtures
+
     path = _require_file(args.pipeline, fixtures.pipeline_path(), "pipeline file")
     return fixtures.load_pipeline(path)
 
 
 def _load_requirements(args):
+    from . import fixtures
+    from .scenarios import load_requirements
+
     path = _require_file(args.scenarios_file, fixtures.requirements_path(),
                          "scenario requirement file")
     try:
@@ -208,7 +201,9 @@ def _load_requirements(args):
         raise ConfigError(f"{path}: missing column {exc}") from None
 
 
-def _extended_trajectory(args, pipe: CapacityTrajectory) -> CapacityTrajectory:
+def _extended_trajectory(args, pipe):
+    from . import fixtures
+
     if args.horizon <= pipe.last_year:
         return pipe
     return fixtures.median_extended_pipeline(args.horizon, pipeline=pipe,
@@ -220,6 +215,9 @@ def _extended_trajectory(args, pipe: CapacityTrajectory) -> CapacityTrajectory:
 # ---------------------------------------------------------------------------
 
 def cmd_track(args) -> int:
+    # names read from the module at call time, so patching projects.X works
+    from .projects import fate_rates, load_snapshot, sankey_flows, track
+
     paths = [p.strip() for p in args.snapshots.split(",") if p.strip()]
     if len(paths) < 2:
         raise ConfigError("track needs at least two snapshot files")
@@ -280,8 +278,8 @@ def cmd_track(args) -> int:
 
 def _print_load_report(path, snap) -> None:
     rep = snap.load_report
-    print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped "
-          f"{dict(rep.dropped_reasons) or ''}")
+    reasons = f" {dict(rep.dropped_reasons)}" if rep.dropped else ""
+    print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped{reasons}")
 
 
 def _share_row(shares) -> dict:
@@ -290,6 +288,10 @@ def _share_row(shares) -> dict:
 
 
 def cmd_ambition(args) -> int:
+    from . import fixtures
+    from .projects import load_snapshot, pipeline
+    from .scenarios import ambition_gap, stats
+
     reqs = _load_requirements(args)
     exclude = args.exclude_outliers == "true"
     year_reqs = [r for r in reqs if r.year == args.year
@@ -326,6 +328,8 @@ def cmd_ambition(args) -> int:
 
 
 def cmd_lcoh(args) -> int:
+    from .costs import lcoh
+
     params = _load_params(args.params, args.scenario)
     traj = _extended_trajectory(args, _load_pipeline(args))
     rows = []
@@ -349,6 +353,9 @@ def cmd_lcoh(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from .costs import lcoh
+    from .subsidies import gas_cost, parity_year
+
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     traj = _extended_trajectory(args, _load_pipeline(args))
@@ -370,6 +377,9 @@ def cmd_gap(args) -> int:
 
 
 def cmd_subsidies(args) -> int:
+    from . import fixtures
+    from .subsidies import cumulative_subsidies, demand_supported_additions
+
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     through = args.through if args.through else args.horizon
@@ -394,6 +404,8 @@ def cmd_subsidies(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .subsidies import capacity_supported_by_budget
+
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     pipe = _load_pipeline(args)
@@ -422,6 +434,9 @@ def cmd_sweep(args) -> int:
     if args.params:
         raise ConfigError("sweep uses the three bundled scenario files; "
                           "--params is not applicable")
+    from . import fixtures
+    from .subsidies import cumulative_subsidies, demand_supported_additions, parity_year
+
     pipe = _load_pipeline(args)
     reqs = _load_requirements(args)
     extended = fixtures.median_extended_pipeline(args.horizon, pipeline=pipe,

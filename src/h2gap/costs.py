@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Mapping
 
-from .units import _check_flh_eta
+from .units import FIRST_SUBSIDY_YEAR, _check_flh_eta
 
 __all__ = [
     "TimeAnchoredSeries",
@@ -147,11 +147,18 @@ class ParamSet:
 
     def __post_init__(self):
         # series are finite by construction; float() fields may still be nan/inf.
+        # A series must also cover the first year of every path, so that a late
+        # first anchor is a bad parameter set rather than a failure mid-compute.
         # getattr, not vars(): a materialised __dict__ slows every later field read
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, TimeAnchoredSeries) and \
+                    value.first_year > FIRST_SUBSIDY_YEAR:
+                raise ValueError(f"{f.name} must have an anchor by "
+                                 f"{FIRST_SUBSIDY_YEAR}, got first anchor "
+                                 f"{value.first_year}")
         for eta in self.efficiency.anchors().values():
             _check_flh_eta(self.full_load_hours, eta)
         for name in ("stack_share_2023", "learning_rate_stack", "learning_rate_bop"):

@@ -60,7 +60,7 @@ def load_pipeline(path) -> CapacityTrajectory:
     that year. Later rows are annual additions.
     """
     rows: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.DictReader(fh), start=2):
             try:
                 year = int(row["year"])

@@ -6,7 +6,8 @@ announcement over time and classify its fate (realised on schedule, delayed,
 or disappeared), to measure the implementation gap between announced and
 realised capacity, and to lay the flows out as a Sankey diagram.
 
-Snapshot CSV schema (UTF-8, comma-separated, header required)::
+Snapshot CSV schema (UTF-8, a leading byte-order mark allowed,
+comma-separated, header required)::
 
     ref_id,name,country,region,status,launch_year,capacity_mw_el,confidential[,demo_state]
 
@@ -17,6 +18,11 @@ category. ``DEMO`` rows additionally need ``demo_state`` (``running``,
 Rows without a launch year or capacity, or with an ``Other`` status, are
 dropped (counted in the load report); unparseable rows fail the load with
 line-level diagnostics.
+
+The result types (:class:`LoadReport`, :class:`TransitionReport`,
+:class:`FateRates`, :class:`SankeyData` and their parts) are named tuples:
+immutable, equal by value, and cheap to define, so that the ``track`` and
+``ambition`` commands import neither :mod:`dataclasses` nor :mod:`inspect`.
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+# the snapshot errors live in the leaf module, so that the CLI can catch them
+# without importing this one
+from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool
 
 __all__ = [
     "Status", "Fate", "ProjectRecord", "Snapshot", "LoadReport",
@@ -75,20 +84,6 @@ _REQUIRED_COLUMNS = ("ref_id", "name", "country", "region", "status",
                      "launch_year", "capacity_mw_el", "confidential")
 
 
-class SnapshotSchemaError(ValueError):
-    """The snapshot file does not match the documented column schema."""
-
-
-class SnapshotDataError(ValueError):
-    """One or more rows could not be parsed; carries (line, message) pairs."""
-
-    def __init__(self, path, row_errors: list[tuple[int, str]]):
-        self.path = str(path)
-        self.row_errors = row_errors
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in row_errors)
-        super().__init__(f"{path}: {len(row_errors)} bad row(s): {lines}")
-
-
 class ProjectRecord(namedtuple("_ProjectRecord", (
         "ref_id", "name", "country", "region", "status", "launch_year",
         "capacity_mw", "confidential", "synthetic"))):
@@ -120,8 +115,7 @@ class ProjectRecord(namedtuple("_ProjectRecord", (
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     kept: int
     dropped: int
     dropped_reasons: Mapping[str, int]
@@ -155,17 +149,6 @@ class Snapshot:
         return f"Snapshot({self.vintage_year}, {len(self.records)} records)"
 
 
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False, "": False}
-
-
-def _parse_bool(text: str) -> bool:
-    value = _BOOLS.get(text.strip().lower())
-    if value is None:
-        raise ValueError(f"cannot parse boolean {text!r}")
-    return value
-
-
 def _parse_status(text: str) -> Status:
     status = _STATUS_ALIASES.get(" ".join(text.lower().split()))
     if status is None:
@@ -195,7 +178,7 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     dropped = Counter()
     seen: set[str] = set()
     statuses: dict[str, Status] = {}   # raw status text -> status, per load
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
@@ -306,8 +289,7 @@ class Fate(str, Enum):
     DISAPPEARED = "disappeared"
 
 
-@dataclass(frozen=True)
-class ProjectFate:
+class ProjectFate(NamedTuple):
     """Fate of one tracked project of the target-year cohort.
 
     ``capacity_mw`` is the capacity credited to the fate (the final vintage's
@@ -328,8 +310,7 @@ class ProjectFate:
     early: bool = False              # operational with a launch year before the target
 
 
-@dataclass(frozen=True)
-class TransitionReport:
+class TransitionReport(NamedTuple):
     target_year: int
     earlier_vintage: int
     later_vintage: int
@@ -425,8 +406,7 @@ def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
         later_announced_mw=later_cohort_mw)
 
 
-@dataclass(frozen=True)
-class FateShares:
+class FateShares(NamedTuple):
     success: float
     delayed: float
     disappeared: float
@@ -435,8 +415,7 @@ class FateShares:
         return (self.success, self.delayed, self.disappeared)
 
 
-@dataclass(frozen=True)
-class FateRates:
+class FateRates(NamedTuple):
     target_year: int
     total: FateShares
     by_status: Mapping[Status, FateShares] | None = None
@@ -485,8 +464,7 @@ def implementation_gap(earlier: Snapshot, realized_gw: float,
 # Pipeline aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CapacitySeries:
+class CapacitySeries(NamedTuple):
     """Annual and cumulative announced capacity (GW), grouped."""
     group_by: str
     years: tuple[int, ...]
@@ -566,15 +544,13 @@ _BOOKKEEPING = {ENTERING, INCREASED, REDUCED, DISAPPEARED, DELAYED_OUT,
                 MOVED_EARLIER, REALIZED, NOT_REALIZED}
 
 
-@dataclass(frozen=True)
-class SankeyNode:
+class SankeyNode(NamedTuple):
     stage: int
     label: str
     capacity_gw: float
 
 
-@dataclass(frozen=True)
-class SankeyFlow:
+class SankeyFlow(NamedTuple):
     stage_from: int
     label_from: str
     stage_to: int
@@ -582,8 +558,7 @@ class SankeyFlow:
     capacity_gw: float
 
 
-@dataclass(frozen=True)
-class SankeyData:
+class SankeyData(NamedTuple):
     target_year: int
     stages: tuple[str, ...]       # one label per vintage plus "outcome"
     nodes: tuple[SankeyNode, ...]

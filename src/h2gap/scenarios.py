@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import CapacityTrajectory
-from .projects import _parse_bool
-from .units import production_to_capacity
+from .units import _parse_bool, production_to_capacity
 
 __all__ = [
     "ScenarioRequirement",
@@ -71,7 +70,7 @@ def load_requirements(path) -> list[ScenarioRequirement]:
     """
     reqs: list[ScenarioRequirement] = []
     seen: set[tuple] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.DictReader(fh), start=2):
             try:
                 cap = (row.get("capacity_gw") or "").strip()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .costs import CapacityTrajectory, ParamSet, lcoh
-from .units import production_to_capacity
+from .units import FIRST_SUBSIDY_YEAR, production_to_capacity
 
 __all__ = [
     "GasCost", "SubsidySchedule", "BudgetSupportResult",
@@ -29,7 +29,6 @@ __all__ = [
     "annual_subsidies", "cumulative_subsidies", "capacity_supported_by_budget",
 ]
 
-FIRST_SUBSIDY_YEAR = 2024
 POLICY_WINDOW = (2024, 2030)   # years across which demand-side support is spread
 DEFAULT_POLICY_MT = 7.0        # implemented demand-side measures, Mt H2 per year
 

@@ -10,12 +10,44 @@ Conventions used throughout the package:
 
 All currency values are nominal 2023 US$; there is no inflation or
 exchange-rate handling anywhere in the package.
+
+This is also the package's one cheap shared leaf: it imports nothing, so
+``h2gap.cli`` can take its first year, boolean parser and snapshot errors
+from here without loading the cost or the project side.
 """
 
 LHV_KWH_PER_KG = 33.33
 """Lower heating value of hydrogen in kWh per kg (as-printed two decimals)."""
 
 HOURS_PER_YEAR = 8760.0
+
+FIRST_SUBSIDY_YEAR = 2024
+"""First year of the cost, gap and subsidy paths; every parameter series
+must have an anchor by then."""
+
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False, "": False}
+
+
+def _parse_bool(text: str) -> bool:
+    value = _BOOLS.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"cannot parse boolean {text!r}")
+    return value
+
+
+class SnapshotSchemaError(ValueError):
+    """The snapshot file does not match the documented column schema."""
+
+
+class SnapshotDataError(ValueError):
+    """One or more rows could not be parsed; carries (line, message) pairs."""
+
+    def __init__(self, path, row_errors: list[tuple[int, str]]):
+        self.path = str(path)
+        self.row_errors = row_errors
+        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in row_errors)
+        super().__init__(f"{path}: {len(row_errors)} bad row(s): {lines}")
 
 
 def _check_flh_eta(full_load_hours: float, efficiency: float) -> None:

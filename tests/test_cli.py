@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 from pathlib import Path
@@ -110,7 +111,7 @@ def test_track_flag_mismatch_exits_2_before_loading(tmp_path, capsys, monkeypatc
     def no_load(*args, **kwargs):
         raise AssertionError("a snapshot was read")
 
-    monkeypatch.setattr("h2gap.cli.load_snapshot", no_load)
+    monkeypatch.setattr("h2gap.projects.load_snapshot", no_load)
     out = tmp_path / "out"
     snapshots = ",".join(str(fixtures.snapshot_path(v)) for v in years)
     code = main(["track", "--snapshots", snapshots, "--target-year", target,
@@ -127,7 +128,7 @@ def test_track_second_of_four_snapshots_is_the_later_vintage(tmp_path, monkeypat
         reports.append(track(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr("h2gap.cli.track", recording_track)
+    monkeypatch.setattr("h2gap.projects.track", recording_track)
     three, four = tmp_path / "three", tmp_path / "four"
     assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
                  "--out", str(three)]) == 0
@@ -310,6 +311,7 @@ def _edited_params(tmp_path, key, value) -> Path:
     ("electricity_usd_per_mwh", {"2024": float("nan")}),
     ("gas_usd_per_mwh", "19"),
     ("full_load_hours", [3750]),
+    ("gas_usd_per_mwh", {"2030": 20.0, "2050": 25.0}),
 ])
 def test_invalid_params_file_is_usage_error(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -365,6 +367,18 @@ def test_ambition_prints_snapshot_load_report(tmp_path, capsys):
                      f"'missing_capacity': 1, 'status_other': 1}}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"],
+    ["ambition"],
+], ids=lambda argv: argv[0])
+def test_stdout_lines_have_no_trailing_whitespace(tmp_path, capsys, argv):
+    # the 2021 snapshot drops rows, the 2023 one none
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line != line.rstrip()] == []
+    assert f"loaded {fixtures.snapshot_path(2023)}: 30 kept, 0 dropped" in lines
+
+
 def test_ambition_with_outlier(tmp_path):
     out = tmp_path / "out"
     assert main(["ambition", "--exclude-outliers", "false", "--out", str(out)]) == 0
@@ -415,6 +429,25 @@ def test_ambition_non_finite_requirement_exits_3(tmp_path, capsys, capacity):
     assert main(["ambition", "--scenarios-file", str(reqs), "--out", str(out)]) == 3
     assert f"{reqs}:2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, name", [
+    (["ambition"], "--snapshot", "snap2023.csv"),
+    (["ambition"], "--scenarios-file", "scenario_requirements.csv"),
+    (["lcoh", "--horizon", "2050"], "--pipeline", "pipeline_additions.csv"),
+], ids=["snapshot", "requirements", "pipeline"])
+def test_input_csv_with_byte_order_mark_reads_the_same(tmp_path, argv, flag, name):
+    # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+    plain = fixtures.data_dir() / name
+    marked = tmp_path / "bom" / name
+    marked.parent.mkdir()
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    reports = []
+    for i, path in enumerate((plain, marked)):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, flag, str(path), "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

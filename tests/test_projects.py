@@ -256,6 +256,21 @@ def test_records_hash_and_compare_by_value():
     assert a != _rec("A", cap=50.0, synthetic=True)
 
 
+def test_result_types_are_immutable_named_tuples(snapshots):
+    report = track(*snapshots, 2022)
+    rates = fate_rates(report, by_status=True)
+    sankey = sankey_flows(snapshots, 2022)
+    results = (snapshots[0].load_report, report, report.fates[0], rates,
+               rates.total, pipeline(snapshots[2], 2030), sankey,
+               sankey.nodes[0], sankey.flows[0])
+    assert len({type(r) for r in results}) == 9
+    for result in results:
+        assert result == tuple(result) and result._replace() == result
+        with pytest.raises(AttributeError):
+            result.note = "x"
+    assert report._replace(target_year=2023).target_year == 2023
+
+
 def test_record_pickle_round_trip():
     rec = _rec("A", status=Status.DEMO, launch=None, confidential=True)
     back = pickle.loads(pickle.dumps(rec))
