@@ -18,7 +18,8 @@ else.
 
 Exit codes: 0 on success; 2 for usage, configuration and file/schema
 problems; 3 for data-validation failures in otherwise well-formed inputs
-(bad row values are reported with line numbers).
+(bad row values are reported with line numbers) and for a report value that
+comes out non-finite (no ``nan``/``inf`` is ever written).
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values.
@@ -149,8 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _write_rows(rows: list[dict], out_dir: Path, name: str, fmt: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write one report; a non-finite float anywhere in it raises ValueError
+    (exit 3) before the file is opened, so no partial report is left behind."""
     path = out_dir / f"{name}.{fmt}"
+    for i, row in enumerate(rows, 1):
+        for column, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path.name}: column {column!r} is not finite "
+                                 f"in data row {i}; report not written")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)

@@ -15,6 +15,12 @@ installed capacity through component-specific learning rates::
 
 ``C_t`` denotes global cumulative electrolysis capacity at the *end* of year t
 (additions of year t included).
+
+One subsidy schedule evaluates the LCOH hundreds of times, so each evaluation
+is kept cheap without changing a bit of its result: the records it returns
+(:class:`InvestmentCosts`, :class:`LCOHBreakdown`) are named tuples built
+positionally, a :class:`ParamSet` computes the terms that depend only on
+itself once when it is built, and series lookups are memoised by year.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .units import FIRST_SUBSIDY_YEAR, _check_flh_eta
 
@@ -45,7 +51,9 @@ class TimeAnchoredSeries:
 
     Years before the first anchor are an error rather than an extrapolation,
     so that accidental use of e.g. an electricity price before its calibration
-    window fails loudly.
+    window fails loudly. Lookups are memoised per series and year: a series
+    is immutable, and one subsidy schedule asks for the same few dozen years
+    thousands of times.
     """
 
     def __init__(self, anchors: Mapping[int, float]):
@@ -61,6 +69,7 @@ class TimeAnchoredSeries:
         xs, ys = self._years, self._values
         self._slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
                         for j in range(len(xs) - 1)]
+        self._memo: dict[float, float] = {}
 
     @property
     def first_year(self) -> int:
@@ -74,16 +83,23 @@ class TimeAnchoredSeries:
         """Value at ``year``; exact at anchors, linear in between, flat afterwards.
 
         The segment arithmetic ``slope * (year - x0) + y0`` is the order of
-        operations of ``numpy.interp``, so results equal it bit for bit.
+        operations of ``numpy.interp``, so results equal it bit for bit. A
+        year before the first anchor raises on every call; it is never cached.
         """
+        value = self._memo.get(year)
+        if value is not None:
+            return value
         xs = self._years
         if year < xs[0]:
             raise ValueError(
                 f"year {year} is before the first anchor ({self.first_year})")
         j = bisect_right(xs, year) - 1
         if j == len(xs) - 1 or xs[j] == year:
-            return self._values[j]
-        return self._slopes[j] * (year - xs[j]) + self._values[j]
+            value = self._values[j]
+        else:
+            value = self._slopes[j] * (year - xs[j]) + self._values[j]
+        self._memo[year] = value
+        return value
 
     def scaled(self, factor: float) -> "TimeAnchoredSeries":
         """New series with every anchor value multiplied by ``factor``."""
@@ -170,6 +186,17 @@ class ParamSet:
             raise ValueError("cost of capital must be positive")
         if self.investment_2023 < 0.0:
             raise ValueError("2023 investment cost must be non-negative")
+        # lcoh's per-set constants, computed once per set rather than per
+        # call. Not a field: repr, == and fields() ignore it, and
+        # dataclasses.replace() recomputes it through __init__.
+        share, invest = self.stack_share_2023, self.investment_2023
+        object.__setattr__(self, "_lcoh_constants", (
+            share * invest,
+            (1.0 - share) * invest,
+            math.log2(1.0 - self.learning_rate_stack),
+            math.log2(1.0 - self.learning_rate_bop),
+            annuity_factor(self.cost_of_capital, self.payback_period),
+        ))
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ParamSet":
@@ -295,8 +322,7 @@ class CapacityTrajectory:
                 f"{self.base_year}, years {self.build_years[:1]}..{self.last_year})")
 
 
-@dataclass(frozen=True)
-class InvestmentCosts:
+class InvestmentCosts(NamedTuple):
     """Specific investment costs ($/kW el) split into stack and balance of plant."""
     year: int
     stack: float
@@ -322,19 +348,14 @@ def investment_costs(year: int, trajectory: CapacityTrajectory,
     year = int(year)
     if year < trajectory.base_year:
         raise ValueError(f"year {year} is before the base year {trajectory.base_year}")
-    c_base = trajectory.base_capacity_gw
     c_t = trajectory.cumulative(year)
-    ratio = c_t / c_base
-    stack0 = params.stack_share_2023 * params.investment_2023
-    bop0 = (1.0 - params.stack_share_2023) * params.investment_2023
-    stack = stack0 * ratio ** math.log2(1.0 - params.learning_rate_stack)
-    bop = bop0 * ratio ** math.log2(1.0 - params.learning_rate_bop)
-    return InvestmentCosts(year=year, stack=stack, balance_of_plant=bop,
-                           cumulative_capacity_gw=c_t)
+    ratio = c_t / trajectory.base_capacity_gw
+    stack0, bop0, exp_stack, exp_bop, _ = params._lcoh_constants
+    return InvestmentCosts(year, stack0 * ratio ** exp_stack,
+                           bop0 * ratio ** exp_bop, c_t)
 
 
-@dataclass(frozen=True)
-class LCOHBreakdown:
+class LCOHBreakdown(NamedTuple):
     """Levelised cost of hydrogen and its components, all in $/MWh H2 (LHV)."""
     year: int
     electricity: float
@@ -368,25 +389,12 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
         raise ValueError(f"LCOH is defined from 2024 onwards, got {year}")
     inv = investment_costs(year, trajectory, params)
     eta = params.efficiency.at(year)
-    a_bop = annuity_factor(params.cost_of_capital, params.payback_period)
+    a_bop = params._lcoh_constants[4]
     a_stack = annuity_factor(params.cost_of_capital, params.stack_lifetime.at(year))
+    flh = params.full_load_hours
     # $/kW / (h/yr) = $/kWh -> *1000 to $/MWh (electrical), /eta to $/MWh H2
-    kwh_to_mwh = 1000.0
-    bop_cap = (a_bop + params.fom_share) * inv.balance_of_plant \
-        / params.full_load_hours * kwh_to_mwh / eta
-    stack_cap = (a_stack + params.fom_share) * inv.stack \
-        / params.full_load_hours * kwh_to_mwh / eta
-    elec = params.electricity_price.at(year) / eta
-    return LCOHBreakdown(
-        year=year,
-        electricity=elec,
-        stack_capital=stack_cap,
-        bop_capital=bop_cap,
-        transport_storage=params.transport_storage,
-        efficiency=eta,
-        full_load_hours=params.full_load_hours,
-        investment_stack=inv.stack,
-        investment_bop=inv.balance_of_plant,
-        annuity_stack=a_stack,
-        annuity_bop=a_bop,
-    )
+    bop_cap = (a_bop + params.fom_share) * inv.balance_of_plant / flh * 1000.0 / eta
+    stack_cap = (a_stack + params.fom_share) * inv.stack / flh * 1000.0 / eta
+    return LCOHBreakdown(year, params.electricity_price.at(year) / eta, stack_cap,
+                         bop_cap, params.transport_storage, eta, flh, inv.stack,
+                         inv.balance_of_plant, a_stack, a_bop)

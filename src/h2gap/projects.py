@@ -177,7 +177,11 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     errors: list[tuple[int, str]] = []
     dropped = Counter()
     seen: set[str] = set()
-    statuses: dict[str, Status] = {}   # raw status text -> status, per load
+    # raw text -> parsed value, per load; a value that fails to parse is not
+    # stored, so every bad row keeps its own error and line number
+    statuses: dict[str, Status] = {}
+    years: dict[str, int] = {}      # stripped launch-year text
+    flags: dict[str, bool] = {}     # raw confidential text
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -203,7 +207,12 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
                 if status is None:
                     status = statuses[status_text] = _parse_status(status_text)
                 launch_text = launch_text.strip()
-                launch_year = int(launch_text) if launch_text else None
+                if launch_text:
+                    launch_year = years.get(launch_text)
+                    if launch_year is None:
+                        launch_year = years[launch_text] = int(launch_text)
+                else:
+                    launch_year = None
                 cap_text = cap_text.strip()
                 capacity = float(cap_text) if cap_text else None
                 if capacity is not None:
@@ -211,7 +220,9 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
                         raise ValueError(f"capacity must be positive, got {capacity}")
                     if not capacity < math.inf:
                         raise ValueError(f"capacity must be finite, got {capacity}")
-                confidential = _parse_bool(conf_text)
+                confidential = flags.get(conf_text)
+                if confidential is None:
+                    confidential = flags[conf_text] = _parse_bool(conf_text)
                 if status is Status.DEMO:
                     if demo_col is None:
                         raise ValueError("DEMO row requires a demo_state column")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .costs import CapacityTrajectory, ParamSet, lcoh
 from .units import FIRST_SUBSIDY_YEAR, production_to_capacity
@@ -33,9 +33,12 @@ POLICY_WINDOW = (2024, 2030)   # years across which demand-side support is sprea
 DEFAULT_POLICY_MT = 7.0        # implemented demand-side measures, Mt H2 per year
 
 
-@dataclass(frozen=True)
-class GasCost:
-    """Total cost of natural gas per MWh: fuel plus (optional) carbon cost."""
+class GasCost(NamedTuple):
+    """Total cost of natural gas per MWh: fuel plus (optional) carbon cost.
+
+    A named tuple, like the cost records of :mod:`h2gap.costs`: one schedule
+    builds hundreds of them.
+    """
     year: int
     fuel: float
     co2_component: float
@@ -51,7 +54,7 @@ def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> GasCost:
         raise ValueError(f"gas cost is defined from 2024 onwards, got {year}")
     fuel = params.gas_price.at(year)
     co2 = params.emission_intensity * params.co2_price.at(year) if carbon_pricing else 0.0
-    return GasCost(year=int(year), fuel=fuel, co2_component=co2)
+    return GasCost(int(year), fuel, co2)
 
 
 def cost_gap(year: int, trajectory: CapacityTrajectory, params: ParamSet,

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,26 @@ def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, value):
     out = tmp_path / "out"
     assert main(["lcoh", "--pipeline", str(pipe), "--out", str(out)]) == 3
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, report, column", [
+    (["subsidies"], "subsidies", "annual_busd"),
+    (["support", "--budget", "300"], "support", "spent_busd"),
+])
+def test_non_finite_report_value_exits_3_without_report(tmp_path, capsys, fmt,
+                                                        argv, report, column):
+    # a finite but huge investment cost overflows the LCOH to inf, and the
+    # budget inversion then spends inf * 0 = nan
+    params = _edited_params(tmp_path, "investment_2023_usd_per_kw", 1e308)
+    out = tmp_path / "out"
+    assert main([*argv, "--params", str(params), "--format", fmt,
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"{report}.{fmt}: column '{column}' is not finite in data row 1" \
+        in captured.err
+    assert not re.search(r"\b(nan|inf)\b", captured.out + captured.err, re.I)
     assert not out.exists()
 
 

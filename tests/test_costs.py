@@ -58,6 +58,20 @@ def test_scaled_series():
     assert s.at(2030) == pytest.approx(240.0)
 
 
+def test_memoised_lookups_equal_a_fresh_series():
+    anchors = {2024: 60.0, 2030: 50.0, 2045: 35.0}
+    s = TimeAnchoredSeries(anchors)
+    for year in (*range(2024, 2101), *range(2024, 2101), 2027.5):
+        assert s.at(year) == TimeAnchoredSeries(anchors).at(year)
+    for _ in range(3):   # an error is not cached: every call raises
+        with pytest.raises(ValueError, match="before the first anchor"):
+            s.at(2020)
+    doubled = s.scaled(2.0)
+    for year in (2027, 2040, 2060):
+        assert doubled.at(year) == 2.0 * s.at(year)
+        assert s.at(year) == TimeAnchoredSeries(anchors).at(year)
+
+
 # ---------------------------------------------------------------------------
 # Annuity factor
 # ---------------------------------------------------------------------------
@@ -312,3 +326,83 @@ def test_lcoh_decreasing_in_efficiency(pipeline_traj, central):
 def test_lcoh_before_2024_is_error(pipeline_traj, central):
     with pytest.raises(ValueError):
         lcoh(2023, pipeline_traj, central)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the per-set constants against the per-call formulas
+# ---------------------------------------------------------------------------
+
+def _perturbed_raw(rng, raw, spread=0.05):
+    """Every number scaled by its own factor; the payback period stays integral."""
+    out = {}
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            out[key] = {y: v * rng.uniform(1 - spread, 1 + spread)
+                        for y, v in value.items()}
+        elif isinstance(value, (int, float)) and key != "payback_period_yr":
+            out[key] = value * rng.uniform(1 - spread, 1 + spread)
+        else:
+            out[key] = value
+    return out
+
+
+def _per_call_lcoh(year, traj, p):
+    """(lcoh fields, investment cost fields), every constant recomputed per call
+    and every series read from a fresh, unmemoised copy."""
+    def at(series):
+        return TimeAnchoredSeries(series.anchors()).at(year)
+
+    c_t = traj.cumulative(year)
+    ratio = c_t / traj.base_capacity_gw
+    stack0 = p.stack_share_2023 * p.investment_2023
+    bop0 = (1.0 - p.stack_share_2023) * p.investment_2023
+    stack = stack0 * ratio ** math.log2(1.0 - p.learning_rate_stack)
+    bop = bop0 * ratio ** math.log2(1.0 - p.learning_rate_bop)
+    eta = at(p.efficiency)
+    a_bop = annuity_factor(p.cost_of_capital, p.payback_period)
+    a_stack = annuity_factor(p.cost_of_capital, at(p.stack_lifetime))
+    bop_cap = (a_bop + p.fom_share) * bop / p.full_load_hours * 1000.0 / eta
+    stack_cap = (a_stack + p.fom_share) * stack / p.full_load_hours * 1000.0 / eta
+    elec = at(p.electricity_price) / eta
+    return ((year, elec, stack_cap, bop_cap, p.transport_storage, eta,
+             p.full_load_hours, stack, bop, a_stack, a_bop),
+            (year, stack, bop, c_t))
+
+
+def test_lcoh_equals_per_call_formulas_bit_for_bit():
+    import json
+    import random
+
+    traj = fixtures.median_extended_pipeline(2100)
+    rng = random.Random(20240)
+    for k in range(48):
+        scenario = ("central", "progressive", "conservative")[k % 3]
+        raw = json.loads(fixtures.params_path(scenario).read_text())
+        params = ParamSet.from_dict(_perturbed_raw(rng, raw))
+        for year in range(2024, 2101):
+            want_lcoh, want_inv = _per_call_lcoh(year, traj, params)
+            b = lcoh(year, traj, params)
+            assert b == want_lcoh, (k, year)
+            assert b.total == (want_lcoh[1] + want_lcoh[2] + want_lcoh[3]
+                               + want_lcoh[4])
+            assert investment_costs(year, traj, params) == want_inv, (k, year)
+
+
+def test_replace_recomputes_the_per_set_constants(pipeline_traj, central):
+    assert "_lcoh_constants" not in {f.name for f in dataclasses.fields(central)}
+    assert "_lcoh_constants" not in repr(central)
+    assert dataclasses.replace(central) == central
+    slow = dataclasses.replace(central, learning_rate_stack=0.09, payback_period=20.0)
+    for year in (2024, 2030, 2045):
+        assert lcoh(year, pipeline_traj, slow) \
+            == _per_call_lcoh(year, pipeline_traj, slow)[0]
+
+
+def test_cost_records_are_named_tuples(pipeline_traj, central):
+    inv = investment_costs(2030, pipeline_traj, central)
+    assert inv == tuple(inv) and inv._fields == (
+        "year", "stack", "balance_of_plant", "cumulative_capacity_gw")
+    assert inv._replace(stack=0.0).total == inv.balance_of_plant
+    b = lcoh(2030, pipeline_traj, central)
+    assert b._replace(transport_storage=0.0).total \
+        == b.electricity + b.stack_capital + b.bop_capital

@@ -81,6 +81,24 @@ def test_malformed_rows_reported_with_line_numbers(tmp_path):
     assert lines == [3, 4, 5]
 
 
+def test_repeated_bad_values_each_keep_their_row_error(tmp_path):
+    # parsed launch years and flags are memoised per load; bad ones are not
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER
+                    + "A,ok,DEU,Europe,Concept,2024,10,false\n"       # line 2
+                    + "B,year,DEU,Europe,Concept,soon,10,false\n"     # line 3
+                    + "C,flag,DEU,Europe,Concept,2024,10,maybe\n"     # line 4
+                    + "D,year,DEU,Europe,Concept,soon,10,false\n"     # line 5
+                    + "E,flag,DEU,Europe,Concept,2024,10,maybe\n"     # line 6
+                    + "F,ok,DEU,Europe,Concept, 2024 ,10,false\n")    # line 7
+    with pytest.raises(SnapshotDataError) as exc:
+        load_snapshot(path, 2023)
+    assert [ln for ln, _ in exc.value.row_errors] == [3, 4, 5, 6]
+    messages = [msg for _, msg in exc.value.row_errors]
+    assert messages[0] == messages[2] and messages[1] == messages[3]
+    assert "soon" in messages[0] and "maybe" in messages[1]
+
+
 def test_duplicate_ref_id_is_hard_error(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(HEADER
