@@ -19,7 +19,9 @@ else.
 Exit codes: 0 on success; 2 for usage, configuration and file/schema
 problems; 3 for data-validation failures in otherwise well-formed inputs
 (bad row values are reported with line numbers) and for a report value that
-comes out non-finite (no ``nan``/``inf`` is ever written).
+comes out non-finite (no ``nan``/``inf`` is ever written). A command writes
+all of its reports or none: every report is built and checked before the
+output directory is created.
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values.
@@ -149,27 +151,28 @@ def build_parser() -> argparse.ArgumentParser:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _write_rows(rows: list[dict], out_dir: Path, name: str, fmt: str) -> Path:
-    """Write one report; a non-finite float anywhere in it raises ValueError
-    (exit 3) before the file is opened, so no partial report is left behind."""
-    path = out_dir / f"{name}.{fmt}"
-    for i, row in enumerate(rows, 1):
-        for column, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{path.name}: column {column!r} is not finite "
-                                 f"in data row {i}; report not written")
+def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> None:
+    """Write every report of a command, or none: a non-finite float anywhere
+    raises ValueError (exit 3) before the directory is created."""
+    for name, rows in reports.items():
+        for i, row in enumerate(rows, 1):
+            for column, value in row.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name}.{fmt}: column {column!r} is not finite "
+                                     f"in data row {i}; report not written")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if rows:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
-    return path
+    for name, rows in reports.items():
+        path = out_dir / f"{name}.{fmt}"
+        if fmt == "json":
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(rows, fh, indent=2)
+                fh.write("\n")
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                if rows:
+                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                    writer.writeheader()
+                    writer.writerows(rows)
 
 
 def _require_file(path_text: str | None, fallback: Path, what: str) -> Path:
@@ -219,10 +222,12 @@ def _extended_trajectory(args, pipe):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its reports as an ordered ``{name: rows}`` dict and
+# its stdout summary lines; ``main`` checks and writes the reports, then
+# prints the summary.
 # ---------------------------------------------------------------------------
 
-def cmd_track(args) -> int:
+def cmd_track(args):
     # names read from the module at call time, so patching projects.X works
     from .projects import fate_rates, load_snapshot, sankey_flows, track
 
@@ -264,24 +269,19 @@ def cmd_track(args) -> int:
     rates = fate_rates(report, by_status=True)
     sankey = sankey_flows(snaps, args.target_year)
 
-    out = Path(args.out)
-    _write_rows(report.rows(), out, "transitions", args.format)
     rate_rows = [{"group": "total", **_share_row(rates.total)}]
     rate_rows += [{"group": status.value, **_share_row(shares)}
                   for status, shares in (rates.by_status or {}).items()]
-    _write_rows(rate_rows, out, "fate_rates", args.format)
-    _write_rows(sankey.node_rows(), out, "sankey_nodes", args.format)
-    _write_rows(sankey.flow_rows(), out, "sankey_flows", args.format)
-
-    announced_gw = report.announced_mw / 1000.0
-    print(f"\ncohort {args.target_year}: announced {announced_gw:.3f} GW "
-          f"(vintage {report.earlier_vintage}), realised on time "
-          f"{report.realized_mw / 1000.0:.3f} GW")
-    print(f"{'group':<20} {'success':>8} {'delayed':>8} {'disappeared':>12}")
-    for row in rate_rows:
-        print(f"{row['group']:<20} {row['success']:>8.1%} {row['delayed']:>8.1%} "
-              f"{row['disappeared']:>12.1%}")
-    return EXIT_OK
+    reports = {"transitions": report.rows(), "fate_rates": rate_rows,
+               "sankey_nodes": sankey.node_rows(), "sankey_flows": sankey.flow_rows()}
+    summary = [f"\ncohort {args.target_year}: announced "
+               f"{report.announced_mw / 1000.0:.3f} GW (vintage "
+               f"{report.earlier_vintage}), realised on time "
+               f"{report.realized_mw / 1000.0:.3f} GW",
+               f"{'group':<20} {'success':>8} {'delayed':>8} {'disappeared':>12}"]
+    summary += [f"{row['group']:<20} {row['success']:>8.1%} {row['delayed']:>8.1%} "
+                f"{row['disappeared']:>12.1%}" for row in rate_rows]
+    return reports, summary
 
 
 def _print_load_report(path, snap) -> None:
@@ -295,7 +295,7 @@ def _share_row(shares) -> dict:
             "disappeared": shares.disappeared}
 
 
-def cmd_ambition(args) -> int:
+def cmd_ambition(args):
     from . import fixtures
     from .projects import load_snapshot, pipeline
     from .scenarios import ambition_gap, stats
@@ -314,28 +314,25 @@ def cmd_ambition(args) -> int:
     _print_load_report(snap_path, snap)
     pipe_gw = pipeline(snap, args.year).cumulative_total(args.year)
 
-    out = Path(args.out)
     stat_rows = [{"year": st.year, "n": st.n, "min_gw": st.minimum,
                   "q1_gw": st.q1, "median_gw": st.median, "q3_gw": st.q3,
                   "max_gw": st.maximum, "pipeline_gw": pipe_gw,
                   "median_gap_gw": ambition_gap(st.median, pipe_gw)}]
-    _write_rows(stat_rows, out, "ambition_stats", args.format)
     gap_rows = [{"source": r.source, "scenario_name": r.scenario_name,
                  "requirement_gw": r.capacity_gw,
                  "gap_gw": ambition_gap(r.capacity_gw, pipe_gw)}
                 for r in sorted(year_reqs, key=lambda r: (r.capacity_gw, r.source))]
-    _write_rows(gap_rows, out, "ambition_gaps", args.format)
+    summary = [
+        f"requirements {args.year}: n={st.n} median={st.median:.0f} GW "
+        f"IQR {st.q1:.0f}-{st.q3:.0f} GW range {st.minimum:.0f}-{st.maximum:.0f} GW",
+        f"pipeline through {args.year}: {pipe_gw:.1f} GW",
+        f"median ambition gap: {ambition_gap(st.median, pipe_gw):.1f} GW "
+        f"({sum(1 for r in gap_rows if r['gap_gw'] <= 0)} of {st.n} scenarios "
+        "already covered)"]
+    return {"ambition_stats": stat_rows, "ambition_gaps": gap_rows}, summary
 
-    print(f"requirements {args.year}: n={st.n} median={st.median:.0f} GW "
-          f"IQR {st.q1:.0f}-{st.q3:.0f} GW range {st.minimum:.0f}-{st.maximum:.0f} GW")
-    print(f"pipeline through {args.year}: {pipe_gw:.1f} GW")
-    print(f"median ambition gap: {ambition_gap(st.median, pipe_gw):.1f} GW "
-          f"({sum(1 for r in gap_rows if r['gap_gw'] <= 0)} of {st.n} scenarios "
-          "already covered)")
-    return EXIT_OK
 
-
-def cmd_lcoh(args) -> int:
+def cmd_lcoh(args):
     from .costs import lcoh
 
     params = _load_params(args.params, args.scenario)
@@ -351,18 +348,16 @@ def cmd_lcoh(args) -> int:
                      "investment_total_usd_per_kw":
                          b.investment_stack + b.investment_bop,
                      "efficiency": b.efficiency})
-    _write_rows(rows, Path(args.out), "lcoh", args.format)
-    print(f"{'year':<6} {'LCOH':>8} {'elec':>8} {'stack':>8} {'BoP':>8} {'T&S':>6}")
-    for r in rows:
-        print(f"{r['year']:<6} {r['lcoh']:>8.1f} {r['electricity']:>8.1f} "
-              f"{r['stack_capital']:>8.1f} {r['bop_capital']:>8.1f} "
-              f"{r['transport_storage']:>6.1f}")
-    return EXIT_OK
+    summary = [f"{'year':<6} {'LCOH':>8} {'elec':>8} {'stack':>8} {'BoP':>8} {'T&S':>6}"]
+    summary += [f"{r['year']:<6} {r['lcoh']:>8.1f} {r['electricity']:>8.1f} "
+                f"{r['stack_capital']:>8.1f} {r['bop_capital']:>8.1f} "
+                f"{r['transport_storage']:>6.1f}" for r in rows]
+    return {"lcoh": rows}, summary
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args):
     from .costs import lcoh
-    from .subsidies import gas_cost, parity_year
+    from .subsidies import gas_cost
 
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
@@ -373,18 +368,17 @@ def cmd_gap(args) -> int:
         gas = gas_cost(year, params, carbon).total
         rows.append({"year": year, "lcoh": total, "gas_total": gas,
                      "gap": total - gas})
-    _write_rows(rows, Path(args.out), "gap", args.format)
-    parity = parity_year(traj, params, carbon, args.horizon)
-    print(f"{'year':<6} {'LCOH':>8} {'gas':>8} {'gap':>8}")
-    for r in rows:
-        print(f"{r['year']:<6} {r['lcoh']:>8.1f} {r['gas_total']:>8.1f} "
-              f"{r['gap']:>8.1f}")
-    print(f"parity year ({params.scenario_id}, carbon {args.carbon_pricing}): "
-          f"{parity if parity else 'none through ' + str(args.horizon)}")
-    return EXIT_OK
+    # the gaps parity_year would compute: its first year with gap <= 0
+    parity = next((r["year"] for r in rows if r["gap"] <= 0.0), None)
+    summary = [f"{'year':<6} {'LCOH':>8} {'gas':>8} {'gap':>8}"]
+    summary += [f"{r['year']:<6} {r['lcoh']:>8.1f} {r['gas_total']:>8.1f} "
+                f"{r['gap']:>8.1f}" for r in rows]
+    summary.append(f"parity year ({params.scenario_id}, carbon {args.carbon_pricing}): "
+                   f"{parity if parity else 'none through ' + str(args.horizon)}")
+    return {"gap": rows}, summary
 
 
-def cmd_subsidies(args) -> int:
+def cmd_subsidies(args):
     from . import fixtures
     from .subsidies import cumulative_subsidies, demand_supported_additions
 
@@ -400,18 +394,16 @@ def cmd_subsidies(args) -> int:
         traj = pipe
     schedule = cumulative_subsidies(traj.with_supported(supported), params,
                                     carbon, through)
-    _write_rows(schedule.rows(), Path(args.out), "subsidies", args.format)
     peak_year, peak = schedule.peak()
-    print(f"{'year':<6} {'annual $bn':>12} {'cumulative $bn':>15}")
-    for y, a, c in zip(schedule.years, schedule.annual_busd,
-                       schedule.cumulative_busd):
-        print(f"{y:<6} {a:>12.2f} {c:>15.1f}")
-    print(f"cumulative through {through}: {schedule.total_busd:.0f} $bn "
-          f"(peak {peak:.1f} $bn in {peak_year})")
-    return EXIT_OK
+    summary = [f"{'year':<6} {'annual $bn':>12} {'cumulative $bn':>15}"]
+    summary += [f"{y:<6} {a:>12.2f} {c:>15.1f}" for y, a, c in
+                zip(schedule.years, schedule.annual_busd, schedule.cumulative_busd)]
+    summary.append(f"cumulative through {through}: {schedule.total_busd:.0f} $bn "
+                   f"(peak {peak:.1f} $bn in {peak_year})")
+    return {"subsidies": schedule.rows()}, summary
 
 
-def cmd_support(args) -> int:
+def cmd_support(args):
     from .subsidies import capacity_supported_by_budget
 
     params = _load_params(args.params, args.scenario)
@@ -429,16 +421,15 @@ def cmd_support(args) -> int:
              "allocation": result.allocation,
              "scenario": params.scenario_id,
              "carbon_pricing": args.carbon_pricing}]
-    _write_rows(rows, Path(args.out), "support", args.format)
     flag = " (budget exceeds full-pipeline requirement)" if result.saturated else ""
-    print(f"budget {result.budget_busd:.0f} $bn supports "
-          f"{result.subsidy_supported_gw:.1f} GW by 2030{flag}")
-    print(f"demand-side policy supports a further "
-          f"{result.demand_supported_gw:.1f} GW")
-    return EXIT_OK
+    summary = [f"budget {result.budget_busd:.0f} $bn supports "
+               f"{result.subsidy_supported_gw:.1f} GW by 2030{flag}",
+               f"demand-side policy supports a further "
+               f"{result.demand_supported_gw:.1f} GW"]
+    return {"support": rows}, summary
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if args.params:
         raise ConfigError("sweep uses the three bundled scenario files; "
                           "--params is not applicable")
@@ -464,14 +455,12 @@ def cmd_sweep(args) -> int:
                          "annual_peak_busd": peak,
                          "peak_year": peak_year,
                          "parity_year": parity if parity else ""})
-    _write_rows(rows, Path(args.out), "sweep", args.format)
-    print(f"{'scenario':<14} {'carbon':<7} {'cum $bn':>9} {'peak $bn':>9} "
-          f"{'peak yr':>8} {'parity':>7}")
-    for r in rows:
-        print(f"{r['scenario']:<14} {r['carbon_pricing']:<7} "
-              f"{r['cumulative_busd']:>9.0f} {r['annual_peak_busd']:>9.1f} "
-              f"{r['peak_year']:>8} {str(r['parity_year'] or '-'):>7}")
-    return EXIT_OK
+    summary = [f"{'scenario':<14} {'carbon':<7} {'cum $bn':>9} {'peak $bn':>9} "
+               f"{'peak yr':>8} {'parity':>7}"]
+    summary += [f"{r['scenario']:<14} {r['carbon_pricing']:<7} "
+                f"{r['cumulative_busd']:>9.0f} {r['annual_peak_busd']:>9.1f} "
+                f"{r['peak_year']:>8} {str(r['parity_year'] or '-'):>7}" for r in rows]
+    return {"sweep": rows}, summary
 
 
 _COMMANDS = {
@@ -493,7 +482,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        reports, summary = _COMMANDS[args.command](args)
+        _write_reports(reports, Path(args.out), args.format)
+        print("\n".join(summary))
+        return EXIT_OK
     except (ConfigError, SnapshotSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,22 +75,20 @@ class TimeAnchoredSeries:
     def first_year(self) -> int:
         return int(self._years[0])
 
-    @property
-    def last_year(self) -> int:
-        return int(self._years[-1])
-
     def at(self, year: float) -> float:
         """Value at ``year``; exact at anchors, linear in between, flat afterwards.
 
         The segment arithmetic ``slope * (year - x0) + y0`` is the order of
         operations of ``numpy.interp``, so results equal it bit for bit. A
-        year before the first anchor raises on every call; it is never cached.
+        year before the first anchor raises on every call, and so does a ``nan``
+        year (which ``bisect`` would put past the last anchor); an error is
+        never cached.
         """
         value = self._memo.get(year)
         if value is not None:
             return value
         xs = self._years
-        if year < xs[0]:
+        if not year >= xs[0]:
             raise ValueError(
                 f"year {year} is before the first anchor ({self.first_year})")
         j = bisect_right(xs, year) - 1
@@ -299,9 +297,6 @@ class CapacityTrajectory:
 
     def total_additions(self) -> float:
         return sum(self._additions.values())
-
-    def total_supported(self) -> float:
-        return sum(self._supported.values())
 
     def with_supported(self, supported_gw: Mapping[int, float]) -> "CapacityTrajectory":
         return CapacityTrajectory(self.base_year, self.base_capacity_gw,

@@ -436,6 +436,9 @@ def _shares(fates: Sequence[ProjectFate]) -> FateShares:
     total = sum(f.capacity_mw for f in fates)
     if total <= 0.0:
         raise ValueError("no announced capacity to compute fate shares")
+    if not math.isfinite(total):
+        raise ValueError("announced capacity overflows when summed; "
+                         "fate shares are undefined")
     by_fate = {fate: sum(f.capacity_mw for f in fates if f.fate is fate)
                for fate in Fate}
     return FateShares(success=by_fate[Fate.SUCCESS] / total,
@@ -482,9 +485,6 @@ class CapacitySeries(NamedTuple):
     groups: tuple[str, ...]
     annual_gw: Mapping[tuple[str, int], float]
 
-    def annual(self, group: str, year: int) -> float:
-        return self.annual_gw.get((group, year), 0.0)
-
     def annual_total(self, year: int) -> float:
         return sum(v for (_, y), v in self.annual_gw.items() if y == year)
 
@@ -497,15 +497,6 @@ class CapacitySeries(NamedTuple):
             return 0.0
         last = self.years[-1] if through_year is None else through_year
         return sum(v for (_, y), v in self.annual_gw.items() if y <= last)
-
-    def rows(self) -> list[dict]:
-        out = []
-        for group in self.groups:
-            for year in self.years:
-                out.append({"group": group, "year": year,
-                            "annual_gw": self.annual(group, year),
-                            "cumulative_gw": self.cumulative(group, year)})
-        return out
 
 
 def pipeline(snapshot: Snapshot, through_year: int,

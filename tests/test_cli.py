@@ -167,6 +167,50 @@ def test_track_json_and_csv_carry_identical_values(tmp_path):
         assert float(rc["capacity_mw"]) == pytest.approx(rj["capacity_mw"])
 
 
+SNAPSHOT_HEADER = ("ref_id,name,country,region,status,launch_year,"
+                   "capacity_mw_el,confidential\n")
+
+
+@pytest.mark.parametrize("final_b", ["Concept,2024", "Operational,2022"],
+                         ids=["one_delayed", "both_succeed"])
+def test_track_overflowing_cohort_exits_3_without_reports(tmp_path, capsys, final_b):
+    # each 1e308 MW row is finite and passes the loader, but their sum is inf
+    early, final = tmp_path / "snap2021.csv", tmp_path / "snap2023.csv"
+    early.write_text(SNAPSHOT_HEADER + "A,a,DEU,Europe,Concept,2022,1e308,false\n"
+                     "B,b,DEU,Europe,Concept,2022,1e308,false\n")
+    final.write_text(SNAPSHOT_HEADER + "A,a,DEU,Europe,Operational,2022,1e308,false\n"
+                     f"B,b,DEU,Europe,{final_b},1e308,false\n")
+    out = tmp_path / "out"
+    assert main(["track", "--snapshots", f"{early},{final}", "--target-year", "2022",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "error: announced capacity overflows when summed" in captured.err
+    assert not re.search(r"\b(nan|inf)\b", captured.out, re.I)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_track_non_finite_last_report_writes_no_report(tmp_path, capsys, monkeypatch,
+                                                       fmt):
+    import h2gap.projects
+
+    real = h2gap.projects.sankey_flows
+
+    def nan_last_flow(*args):
+        data = real(*args)
+        last = data.flows[-1]._replace(capacity_gw=float("nan"))
+        return data._replace(flows=(*data.flows[:-1], last))
+
+    monkeypatch.setattr(h2gap.projects, "sankey_flows", nan_last_flow)
+    out = tmp_path / "out"
+    assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
+                 "--format", fmt, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"sankey_flows.{fmt}: column 'capacity_gw' is not finite" in captured.err
+    assert "cohort 2022" not in captured.out
+    assert not out.exists()   # the three reports before it are not written either
+
+
 # ---------------------------------------------------------------------------
 # gap / lcoh
 # ---------------------------------------------------------------------------
@@ -194,6 +238,25 @@ def test_gap_single_row_horizon(tmp_path):
     out = tmp_path / "out"
     assert main(["gap", "--horizon", "2024", "--out", str(out)]) == 0
     assert len(_read_csv(out / "gap.csv")) == 1
+
+
+@pytest.mark.parametrize("carbon", ["off", "on"])
+def test_gap_calls_lcoh_once_per_year(tmp_path, monkeypatch, carbon):
+    import h2gap.costs
+    import h2gap.subsidies
+
+    real, years = h2gap.costs.lcoh, []
+
+    def counting_lcoh(year, trajectory, params):
+        years.append(year)
+        return real(year, trajectory, params)
+
+    # subsidies binds lcoh at import, so patch that name too: every call counts
+    for module in (h2gap.costs, h2gap.subsidies):
+        monkeypatch.setattr(module, "lcoh", counting_lcoh)
+    assert main(["gap", "--carbon-pricing", carbon, "--horizon", "2045",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert years == list(range(2024, 2046))   # 22 calls, parity found or not
 
 
 def test_lcoh_breakdown_columns(tmp_path):
@@ -492,13 +555,23 @@ def test_sweep_rejects_params_override(tmp_path):
     assert main(["sweep", "--params", "x.json", "--out", str(tmp_path)]) == 2
 
 
-def test_outputs_byte_identical_across_runs(tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    for out in (out1, out2):
-        assert main(["subsidies", "--carbon-pricing", "on", "--out", str(out)]) == 0
-        assert main(["gap", "--out", str(out)]) == 0
-    for name in ("subsidies.csv", "gap.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"],
+    ["ambition"],
+    ["lcoh"],
+    ["gap"],
+    ["subsidies", "--carbon-pricing", "on"],
+    ["support", "--budget", "308"],
+    ["sweep"],
+], ids=lambda argv: argv[0])
+def test_outputs_byte_identical_across_runs(tmp_path, capsys, argv, fmt):
+    runs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] and all(name.endswith(f".{fmt}") for name in runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_usage_error_without_command():

@@ -72,6 +72,16 @@ def test_memoised_lookups_equal_a_fresh_series():
         assert s.at(year) == TimeAnchoredSeries(anchors).at(year)
 
 
+def test_nan_year_raises_and_is_not_memoised():
+    # bisect puts nan past every anchor, so an unguarded lookup would
+    # return the last value and store one memo entry per nan object
+    s = TimeAnchoredSeries({2024: 1.0, 2030: 2.0})
+    for _ in range(3):
+        with pytest.raises(ValueError, match="before the first anchor"):
+            s.at(float("nan"))
+    assert s._memo == {}
+
+
 # ---------------------------------------------------------------------------
 # Annuity factor
 # ---------------------------------------------------------------------------
