@@ -41,7 +41,8 @@ import re
 import sys
 from pathlib import Path
 
-from .units import FIRST_SUBSIDY_YEAR, SnapshotDataError, SnapshotSchemaError
+from .units import (FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR, SnapshotDataError,
+                    SnapshotSchemaError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,13 +67,15 @@ def _finite_float(text: str) -> float:
 
 
 def _last_year(text: str) -> int:
-    """argparse ``type=`` for ``--horizon``/``--through``: a year from 2024 on."""
+    """argparse ``type=`` for ``--horizon``/``--through``: a year in 2024-2100."""
     try:
         year = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid year: {text!r}") from None
     if year < FIRST_SUBSIDY_YEAR:
         raise argparse.ArgumentTypeError(f"must be >= {FIRST_SUBSIDY_YEAR}, got {year}")
+    if year > LAST_HORIZON_YEAR:
+        raise argparse.ArgumentTypeError(f"must be <= {LAST_HORIZON_YEAR}, got {year}")
     return year
 
 
@@ -206,10 +209,13 @@ def _load_requirements(args):
 
     path = _require_file(args.scenarios_file, fixtures.requirements_path(),
                          "scenario requirement file")
-    try:
-        return load_requirements(path)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing column {exc}") from None
+    return load_requirements(path)
+
+
+def _vintage(path) -> int | None:
+    """The vintage year a snapshot file name carries: its stem's first four digits."""
+    m = re.search(r"(\d{4})", Path(path).stem)
+    return int(m.group(1)) if m else None
 
 
 def _extended_trajectory(args, pipe):
@@ -243,13 +249,10 @@ def cmd_track(args):
         if len(vintages) != len(paths):
             raise ConfigError("--vintages must match the number of snapshots")
     else:
-        vintages = []
-        for p in paths:
-            m = re.search(r"(\d{4})", Path(p).stem)
-            if not m:
-                raise ConfigError(f"cannot infer vintage year from {p!r}; "
-                                  "pass --vintages")
-            vintages.append(int(m.group(1)))
+        vintages = [_vintage(p) for p in paths]
+        if None in vintages:
+            raise ConfigError(f"cannot infer vintage year from "
+                              f"{paths[vintages.index(None)]!r}; pass --vintages")
     # track() and sankey_flows() raise ValueError for these too, but only
     # after every snapshot is loaded and as a data error (exit 3); here they
     # are flag errors, found before any file is read.
@@ -269,11 +272,9 @@ def cmd_track(args):
     rates = fate_rates(report, by_status=True)
     sankey = sankey_flows(snaps, args.target_year)
 
-    rate_rows = [{"group": "total", **_share_row(rates.total)}]
-    rate_rows += [{"group": status.value, **_share_row(shares)}
+    rate_rows = [{"group": "total", **rates.total._asdict()}]
+    rate_rows += [{"group": status.value, **shares._asdict()}
                   for status, shares in (rates.by_status or {}).items()]
-    reports = {"transitions": report.rows(), "fate_rates": rate_rows,
-               "sankey_nodes": sankey.node_rows(), "sankey_flows": sankey.flow_rows()}
     summary = [f"\ncohort {args.target_year}: announced "
                f"{report.announced_mw / 1000.0:.3f} GW (vintage "
                f"{report.earlier_vintage}), realised on time "
@@ -281,18 +282,29 @@ def cmd_track(args):
                f"{'group':<20} {'success':>8} {'delayed':>8} {'disappeared':>12}"]
     summary += [f"{row['group']:<20} {row['success']:>8.1%} {row['delayed']:>8.1%} "
                 f"{row['disappeared']:>12.1%}" for row in rate_rows]
-    return reports, summary
+    return {
+        "transitions": [
+            {"ref_id": f.ref_id, "name": f.name,
+             "status_announced": f.status_announced.value, "fate": f.fate.value,
+             "capacity_mw": f.capacity_mw, "dummy_mw": f.dummy_mw,
+             "final_status": f.final_status.value if f.final_status else "",
+             "final_launch_year": f.final_launch_year if f.final_launch_year else "",
+             "operational_late": f.operational_late, "early": f.early}
+            for f in report.fates],
+        "fate_rates": rate_rows,
+        "sankey_nodes": [
+            {"stage": n.stage, "stage_label": sankey.stages[n.stage],
+             "node": n.label, "capacity_gw": n.capacity_gw} for n in sankey.nodes],
+        "sankey_flows": [
+            {"stage_from": f.stage_from, "node_from": f.label_from,
+             "stage_to": f.stage_to, "node_to": f.label_to,
+             "capacity_gw": f.capacity_gw} for f in sankey.flows]}, summary
 
 
 def _print_load_report(path, snap) -> None:
     rep = snap.load_report
     reasons = f" {dict(rep.dropped_reasons)}" if rep.dropped else ""
     print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped{reasons}")
-
-
-def _share_row(shares) -> dict:
-    return {"success": shares.success, "delayed": shares.delayed,
-            "disappeared": shares.disappeared}
 
 
 def cmd_ambition(args):
@@ -309,8 +321,7 @@ def cmd_ambition(args):
     st = stats(reqs, args.year, exclude_outliers=exclude)
     snap_path = _require_file(args.snapshot, fixtures.snapshot_path(2023),
                               "snapshot")
-    m = re.search(r"(\d{4})", snap_path.stem)
-    snap = load_snapshot(snap_path, int(m.group(1)) if m else 0)
+    snap = load_snapshot(snap_path, _vintage(snap_path) or 0)
     _print_load_report(snap_path, snap)
     pipe_gw = pipeline(snap, args.year).cumulative_total(args.year)
 
@@ -400,7 +411,10 @@ def cmd_subsidies(args):
                 zip(schedule.years, schedule.annual_busd, schedule.cumulative_busd)]
     summary.append(f"cumulative through {through}: {schedule.total_busd:.0f} $bn "
                    f"(peak {peak:.1f} $bn in {peak_year})")
-    return {"subsidies": schedule.rows()}, summary
+    rows = [{"year": y, "annual_busd": a, "cumulative_busd": c,
+             "scenario": params.scenario_id, "carbon_pricing": args.carbon_pricing}
+            for y, a, c in zip(schedule.years, schedule.annual_busd, schedule.cumulative_busd)]
+    return {"subsidies": rows}, summary
 
 
 def cmd_support(args):

@@ -10,12 +10,12 @@ at real database exports in the same schema.
 
 from __future__ import annotations
 
-import csv
 import os
 from pathlib import Path
 
 from .costs import CapacityTrajectory
 from .scenarios import ScenarioRequirement, load_requirements, median_trajectory, stats
+from .units import read_csv
 
 __all__ = [
     "data_dir", "params_path", "pipeline_path", "requirements_path",
@@ -54,22 +54,23 @@ def snapshot_path(vintage_year: int) -> Path:
 
 
 def load_pipeline(path) -> CapacityTrajectory:
-    """Read a capacity trajectory CSV (columns ``year,additions_gw,approximate``).
+    """Read a capacity trajectory CSV (columns ``year,additions_gw``; others ignored).
 
     The earliest row is the installed base: cumulative capacity at the end of
-    that year. Later rows are annual additions.
+    that year. Later rows are annual additions. Row errors raise ValueError
+    prefixed ``path:line``; a missing column raises SnapshotSchemaError.
     """
     rows: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for i, row in enumerate(csv.DictReader(fh), start=2):
+    with read_csv(path, ("year", "additions_gw")) as (reader, index):
+        year_col, gw_col = index["year"], index["additions_gw"]
+        for row in filter(None, reader):    # a blank line holds no record
             try:
-                year = int(row["year"])
-                gw = float(row["additions_gw"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"{path}:{i}: expected year and additions_gw "
-                                 f"columns with numeric values") from None
+                year, gw = int(row[year_col]), float(row[gw_col])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: expected year and "
+                                 f"additions_gw columns with numeric values") from None
             if year in rows:
-                raise ValueError(f"{path}:{i}: duplicate year {year}")
+                raise ValueError(f"{path}:{reader.line_num}: duplicate year {year}")
             rows[year] = gw
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")

@@ -6,8 +6,7 @@ announcement over time and classify its fate (realised on schedule, delayed,
 or disappeared), to measure the implementation gap between announced and
 realised capacity, and to lay the flows out as a Sankey diagram.
 
-Snapshot CSV schema (UTF-8, a leading byte-order mark allowed,
-comma-separated, header required)::
+Snapshot CSV schema (read by :func:`h2gap.units.read_csv`, header required)::
 
     ref_id,name,country,region,status,launch_year,capacity_mw_el,confidential[,demo_state]
 
@@ -27,7 +26,6 @@ immutable, equal by value, and cheap to define, so that the ``track`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter, namedtuple
 from enum import Enum
@@ -36,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # the snapshot errors live in the leaf module, so that the CLI can catch them
 # without importing this one
-from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool
+from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool, read_csv
 
 __all__ = [
     "Status", "Fate", "ProjectRecord", "Snapshot", "LoadReport",
@@ -157,20 +155,14 @@ def _parse_status(text: str) -> Status:
 
 
 def load_snapshot(path, vintage_year: int) -> Snapshot:
-    """Read and filter one snapshot CSV.
+    """Read and filter one snapshot CSV by the schema and rules of this
+    module's docstring; the kept/dropped tally is ``snapshot.load_report``.
 
-    Keeps only announcements with a launch year, a capacity value and a
-    meaningful status; ``FID`` and ``Under construction`` are merged, and
-    ``DEMO`` rows are allocated to Operational / FID_Construction /
-    Decommissioned according to their ``demo_state``. The kept/dropped
-    tally is attached as ``snapshot.load_report``.
+    Blank lines are skipped, missing trailing fields read as empty, extra
+    fields are ignored and of a duplicated column name the last one counts.
 
-    As with :class:`csv.DictReader`, blank lines are skipped, missing
-    trailing fields read as empty, extra fields are ignored and of a
-    duplicated column name the last one counts.
-
-    Raises :class:`SnapshotSchemaError` for a malformed header,
-    :class:`SnapshotDataError` for unparseable rows or duplicated reference
+    Raises :class:`SnapshotSchemaError` for a missing column or non-UTF-8
+    text, :class:`SnapshotDataError` for unparseable rows or duplicated reference
     ids. Each row error names the physical file line the record ends on.
     """
     records: list[ProjectRecord] = []
@@ -182,16 +174,10 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     statuses: dict[str, Status] = {}
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise SnapshotSchemaError(f"{path}: missing column(s) {missing}")
-        index = {name: i for i, name in enumerate(header)}
+    with read_csv(path, _REQUIRED_COLUMNS) as (reader, index):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
         demo_col = index.get("demo_state")
-        width = len(header)
+        width = max(index.values()) + 1     # the header width: its last name is its last column
         for row in reader:
             if not row:
                 continue
@@ -340,17 +326,6 @@ class TransitionReport(NamedTuple):
     @property
     def realized_mw(self) -> float:
         return self.fate_total_mw(Fate.SUCCESS)
-
-    def rows(self) -> list[dict]:
-        return [
-            {"ref_id": f.ref_id, "name": f.name,
-             "status_announced": f.status_announced.value, "fate": f.fate.value,
-             "capacity_mw": f.capacity_mw, "dummy_mw": f.dummy_mw,
-             "final_status": f.final_status.value if f.final_status else "",
-             "final_launch_year": f.final_launch_year if f.final_launch_year else "",
-             "operational_late": f.operational_late, "early": f.early}
-            for f in self.fates
-        ]
 
 
 def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
@@ -590,15 +565,6 @@ class SankeyData(NamedTuple):
                 bad.append(f"stage {node.stage} {node.label}: in "
                            f"{inflow.get(key, 0.0)} != out {outflow.get(key, 0.0)}")
         return bad
-
-    def node_rows(self) -> list[dict]:
-        return [{"stage": n.stage, "stage_label": self.stages[n.stage],
-                 "node": n.label, "capacity_gw": n.capacity_gw} for n in self.nodes]
-
-    def flow_rows(self) -> list[dict]:
-        return [{"stage_from": f.stage_from, "node_from": f.label_from,
-                 "stage_to": f.stage_to, "node_to": f.label_to,
-                 "capacity_gw": f.capacity_gw} for f in self.flows]
 
 
 def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:

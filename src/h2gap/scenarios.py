@@ -10,12 +10,11 @@ median.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 from .costs import CapacityTrajectory
-from .units import _parse_bool, production_to_capacity
+from .units import _parse_bool, production_to_capacity, read_csv
 
 __all__ = [
     "ScenarioRequirement",
@@ -30,6 +29,9 @@ __all__ = [
 # capacity are converted at load time with these fixed assumptions.
 CONVERSION_FLH = 3750.0
 CONVERSION_EFFICIENCY = 0.69
+
+_REQUIRED_COLUMNS = ("source", "scenario_name", "year", "capacity_gw",
+                     "production_mt_per_yr", "outlier")
 
 
 @dataclass(frozen=True)
@@ -62,37 +64,34 @@ def load_requirements(path) -> list[ScenarioRequirement]:
     """Read a scenario requirement CSV.
 
     Columns: ``source,scenario_name,year,capacity_gw,production_mt_per_yr,
-    outlier,approximate``. Exactly one of ``capacity_gw`` /
-    ``production_mt_per_yr`` must be filled per row; production volumes are
-    converted to input capacity at 3750 full-load hours and 69% efficiency.
-    Duplicate (source, scenario_name, year) keys are an error. Row errors
-    raise ValueError prefixed ``path:line``; a missing column raises KeyError.
+    outlier[,approximate]``, an absent ``approximate`` reading as false.
+    Exactly one of ``capacity_gw`` / ``production_mt_per_yr`` is filled per
+    row; production volumes become input capacity at 3750 full-load hours and
+    69% efficiency. Duplicate (source, scenario_name, year) keys are an error.
+    Row errors raise ValueError prefixed ``path:line``, schema errors SnapshotSchemaError.
     """
     reqs: list[ScenarioRequirement] = []
     seen: set[tuple] = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for i, row in enumerate(csv.DictReader(fh), start=2):
+    with read_csv(path, _REQUIRED_COLUMNS) as (reader, index):
+        positions = [index.get(c) for c in (*_REQUIRED_COLUMNS, "approximate")]
+        for row in filter(None, reader):    # a blank line holds no record
+            # a missing trailing field, like an absent approximate column, is empty
+            source, scenario_name, year, cap, prod, outlier, approximate = (
+                row[i].strip() if i is not None and i < len(row) else ""
+                for i in positions)
             try:
-                cap = (row.get("capacity_gw") or "").strip()
-                prod = (row.get("production_mt_per_yr") or "").strip()
                 if bool(cap) == bool(prod):
                     raise ValueError("exactly one of capacity_gw and "
                                      "production_mt_per_yr must be given")
                 capacity = float(cap) if cap else production_to_capacity(
                     float(prod), CONVERSION_FLH, CONVERSION_EFFICIENCY)
-                req = ScenarioRequirement(
-                    source=(row["source"] or "").strip(),
-                    scenario_name=(row["scenario_name"] or "").strip(),
-                    year=int(row["year"] or ""),
-                    capacity_gw=capacity,
-                    outlier=_parse_bool(row.get("outlier") or ""),
-                    approximate=_parse_bool(row.get("approximate") or ""),
-                )
+                req = ScenarioRequirement(source, scenario_name, int(year), capacity,
+                                          _parse_bool(outlier), _parse_bool(approximate))
                 key = (req.source, req.scenario_name, req.year)
                 if key in seen:
                     raise ValueError(f"duplicate scenario key {key}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{i}: {exc}") from None
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             seen.add(key)
             reqs.append(req)
     return reqs

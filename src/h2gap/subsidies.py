@@ -167,12 +167,6 @@ class SubsidySchedule:
         idx = max(range(len(self.years)), key=lambda i: self.annual_busd[i])
         return self.years[idx], self.annual_busd[idx]
 
-    def rows(self) -> list[dict]:
-        return [{"year": y, "annual_busd": a, "cumulative_busd": c,
-                 "scenario": self.scenario_id,
-                 "carbon_pricing": "on" if self.carbon_pricing else "off"}
-                for y, a, c in zip(self.years, self.annual_busd, self.cumulative_busd)]
-
 
 def cumulative_subsidies(trajectory: CapacityTrajectory, params: ParamSet,
                          carbon_pricing: bool, through_year: int) -> SubsidySchedule:

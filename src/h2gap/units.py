@@ -11,10 +11,13 @@ Conventions used throughout the package:
 All currency values are nominal 2023 US$; there is no inflation or
 exchange-rate handling anywhere in the package.
 
-This is also the package's one cheap shared leaf: it imports nothing, so
-``h2gap.cli`` can take its first year, boolean parser and snapshot errors
-from here without loading the cost or the project side.
+This is also the package's one cheap shared leaf: it imports only the stdlib,
+so every loader and ``h2gap.cli`` share its year bounds, boolean parser, CSV
+reader and input errors without loading the cost or the project side.
 """
+
+import csv
+from contextlib import contextmanager
 
 LHV_KWH_PER_KG = 33.33
 """Lower heating value of hydrogen in kWh per kg (as-printed two decimals)."""
@@ -24,6 +27,9 @@ HOURS_PER_YEAR = 8760.0
 FIRST_SUBSIDY_YEAR = 2024
 """First year of the cost, gap and subsidy paths; every parameter series
 must have an anchor by then."""
+
+LAST_HORIZON_YEAR = 2100
+"""Last ``--horizon``/``--through`` year; the median continuation adds nothing after 2050."""
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False, "": False}
@@ -37,7 +43,7 @@ def _parse_bool(text: str) -> bool:
 
 
 class SnapshotSchemaError(ValueError):
-    """The snapshot file does not match the documented column schema."""
+    """An input CSV (snapshot, pipeline, requirements) lacks a column or is not UTF-8 CSV."""
 
 
 class SnapshotDataError(ValueError):
@@ -48,6 +54,25 @@ class SnapshotDataError(ValueError):
         self.row_errors = row_errors
         lines = "; ".join(f"line {ln}: {msg}" for ln, msg in row_errors)
         super().__init__(f"{path}: {len(row_errors)} bad row(s): {lines}")
+
+
+@contextmanager
+def read_csv(path, required: tuple[str, ...]):
+    """Yield the :func:`csv.reader` of a UTF-8 input CSV (BOM allowed) past its header,
+    and a map of each column name to its last position. A missing ``required``
+    column or text that is not UTF-8 CSV raises :class:`SnapshotSchemaError`."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = ", ".join(repr(c) for c in required if c not in index)
+            if missing:
+                raise SnapshotSchemaError(f"{path}: missing column {missing}")
+            yield reader, index
+        except UnicodeDecodeError as exc:   # its position counts from a read buffer
+            raise SnapshotSchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise SnapshotSchemaError(f"{path}:{reader.line_num}: not CSV: {exc}") from None
 
 
 def _check_flh_eta(full_load_hours: float, efficiency: float) -> None:

@@ -349,6 +349,19 @@ def test_flag_below_its_range_is_usage_error(tmp_path, capsys, argv, report):
     assert not (out / f"{report}.csv").exists()
 
 
+@pytest.mark.parametrize("argv, report", [
+    (["lcoh", "--horizon", "2101"], "lcoh"),
+    (["subsidies", "--through", "2101"], "subsidies"),
+])
+def test_flag_above_2100_is_usage_error(tmp_path, capsys, argv, report):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "must be <= 2100, got 2101" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv[:-1], "2100", "--out", str(out)]) == 0
+    assert (out / f"{report}.csv").is_file()
+
+
 def test_out_under_regular_file_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -490,7 +503,8 @@ def test_ambition_empty_scenario_set_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("column", ["source", "scenario_name", "year"])
+@pytest.mark.parametrize("column", ["source", "scenario_name", "year", "capacity_gw",
+                                    "production_mt_per_yr", "outlier"])
 def test_ambition_missing_requirement_column_exits_2(tmp_path, capsys, column):
     names = ["source", "scenario_name", "year", "capacity_gw",
              "production_mt_per_yr", "outlier", "approximate"]
@@ -501,6 +515,88 @@ def test_ambition_missing_requirement_column_exits_2(tmp_path, capsys, column):
     out = tmp_path / "out"
     assert main(["ambition", "--scenarios-file", str(reqs), "--out", str(out)]) == 2
     assert f"missing column '{column}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", ["year", "additions_gw"])
+def test_missing_pipeline_column_exits_2(tmp_path, capsys, column):
+    table = [["year", "additions_gw", "approximate"], ["2023", "1.86", "false"],
+             ["2024", "11.0", "true"]]
+    keep = [i for i, name in enumerate(table[0]) if name != column]
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in table))
+    out = tmp_path / "out"
+    assert main(["lcoh", "--pipeline", str(pipe), "--out", str(out)]) == 2
+    assert f"{pipe}: missing column '{column}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, name", [
+    (["ambition"], "--scenarios-file", "scenario_requirements.csv"),
+    (["lcoh", "--horizon", "2050"], "--pipeline", "pipeline_additions.csv"),
+], ids=["requirements", "pipeline"])
+def test_approximate_column_can_be_left_out(tmp_path, argv, flag, name):
+    # the requirement flag reads as false when absent; the pipeline's is not read
+    with open(fixtures.data_dir() / name, newline="") as fh:
+        table = list(csv.reader(fh))
+    keep = [i for i, c in enumerate(table[0]) if c != "approximate"]
+    assert len(keep) == len(table[0]) - 1
+    trimmed = tmp_path / name
+    trimmed.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in table))
+    reports = []
+    for i, path in enumerate((fixtures.data_dir() / name, trimmed)):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, flag, str(path), "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["ambition"], "--scenarios-file",
+     "source,scenario_name,year,capacity_gw,production_mt_per_yr,outlier,approximate\n"
+     "A,one,2030,100,,false,false\n"
+     "\n"
+     'B,"two\nlines",2030,200,,false,false\n'
+     "C,three,2030,300,,maybe,false\n"),
+    (["lcoh"], "--pipeline",
+     "year,additions_gw,approximate\n"
+     "2023,1.86,false\n"
+     "\n"
+     '2024,11.0,"tr\nue"\n'
+     "2025,lots,true\n"),
+], ids=["requirements", "pipeline"])
+def test_input_row_errors_name_physical_lines(tmp_path, capsys, argv, flag, text):
+    # a blank line and a quoted field spanning two lines put the bad row on line 6
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, flag, str(path), "--out", str(out)]) == 3
+    assert f"{path}:6: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("Z,caf\xe9,1,1,1,1,1,1\n".encode("latin-1"),
+     ": not UTF-8 text: invalid continuation byte"),
+    (b'Z,"' + b"x" * 200_000 + b'"\n',          # over the csv field size limit
+     ": not CSV: field larger than field limit"),
+], ids=["latin-1", "huge-field"])
+@pytest.mark.parametrize("name, argv", [
+    ("snap2022.csv", ["track", "--target-year", "2022", "--snapshots"]),
+    ("scenario_requirements.csv", ["ambition", "--scenarios-file"]),
+    ("pipeline_additions.csv", ["lcoh", "--pipeline"]),
+], ids=["snapshot", "requirements", "pipeline"])
+def test_input_that_is_not_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, name,
+                                                            argv, tail, message):
+    bad = tmp_path / name
+    bad.write_bytes((fixtures.data_dir() / name).read_bytes() + tail)
+    # a track run names the bad one of its three snapshots
+    arg = SNAPSHOT_ARGS.replace(str(fixtures.snapshot_path(2022)), str(bad)) \
+        if argv[0] == "track" else str(bad)
+    out = tmp_path / "out"
+    assert main([*argv, arg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
     assert not out.exists()
 
 

@@ -48,6 +48,7 @@ def _run(argv: list[str], tmp_path: Path) -> str:
 @pytest.mark.parametrize("statement, package", [
     ("import h2gap", {"h2gap"}),
     ("import h2gap.cli", {"h2gap", "h2gap.cli", "h2gap.units"}),
+    ("import h2gap.units", {"h2gap", "h2gap.units"}),
 ])
 def test_import_loads_only_what_it_names(tmp_path, statement, package):
     assert _package(_modules_loaded_by(statement, tmp_path)) == package
