@@ -41,8 +41,7 @@ import re
 import sys
 from pathlib import Path
 
-from .units import (FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR, SnapshotDataError,
-                    SnapshotSchemaError)
+from .units import FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR, SnapshotSchemaError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -503,12 +502,6 @@ def main(argv=None) -> int:
     except (ConfigError, SnapshotSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SnapshotDataError as exc:
-        print(f"error: {exc.path}: {len(exc.row_errors)} bad row(s)",
-              file=sys.stderr)
-        for line, msg in exc.row_errors:
-            print(f"  line {line}: {msg}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

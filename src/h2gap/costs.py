@@ -224,7 +224,7 @@ class ParamSet:
 
     @classmethod
     def from_json(cls, path) -> "ParamSet":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # a BOM allowed, as in the CSVs
             return cls.from_dict(json.load(fh))
 
     @classmethod

@@ -57,21 +57,22 @@ def load_pipeline(path) -> CapacityTrajectory:
     """Read a capacity trajectory CSV (columns ``year,additions_gw``; others ignored).
 
     The earliest row is the installed base: cumulative capacity at the end of
-    that year. Later rows are annual additions. Row errors raise ValueError
-    prefixed ``path:line``; a missing column raises SnapshotSchemaError.
+    that year. Later rows are annual additions. Bad rows raise one
+    SnapshotDataError naming their lines, a missing column SnapshotSchemaError.
     """
     rows: dict[int, float] = {}
-    with read_csv(path, ("year", "additions_gw")) as (reader, index):
+    with read_csv(path, ("year", "additions_gw")) as (records, index, bad):
         year_col, gw_col = index["year"], index["additions_gw"]
-        for row in filter(None, reader):    # a blank line holds no record
+        for row in records:
             try:
                 year, gw = int(row[year_col]), float(row[gw_col])
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{reader.line_num}: expected year and "
-                                 f"additions_gw columns with numeric values") from None
+            except ValueError:
+                bad("expected year and additions_gw columns with numeric values")
+                continue
             if year in rows:
-                raise ValueError(f"{path}:{reader.line_num}: duplicate year {year}")
-            rows[year] = gw
+                bad(f"duplicate year {year}")
+            else:
+                rows[year] = gw
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")
     base_year = min(rows)

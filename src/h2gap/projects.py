@@ -158,15 +158,11 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     """Read and filter one snapshot CSV by the schema and rules of this
     module's docstring; the kept/dropped tally is ``snapshot.load_report``.
 
-    Blank lines are skipped, missing trailing fields read as empty, extra
-    fields are ignored and of a duplicated column name the last one counts.
-
     Raises :class:`SnapshotSchemaError` for a missing column or non-UTF-8
     text, :class:`SnapshotDataError` for unparseable rows or duplicated reference
-    ids. Each row error names the physical file line the record ends on.
+    ids, as :func:`h2gap.units.read_csv` reads every input CSV.
     """
     records: list[ProjectRecord] = []
-    errors: list[tuple[int, str]] = []
     dropped = Counter()
     seen: set[str] = set()
     # raw text -> parsed value, per load; a value that fails to parse is not
@@ -174,15 +170,10 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     statuses: dict[str, Status] = {}
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
-    with read_csv(path, _REQUIRED_COLUMNS) as (reader, index):
+    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
         demo_col = index.get("demo_state")
-        width = max(index.values()) + 1     # the header width: its last name is its last column
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
+        for row in rows:
             ref_id, name, country, region, status_text, launch_text, cap_text, \
                 conf_text = fields(row)
             try:
@@ -218,7 +209,7 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
                                          f"{sorted(_DEMO_STATES)}, got {state!r}")
                     status = _DEMO_STATES[state]
             except ValueError as exc:
-                errors.append((reader.line_num, str(exc)))
+                bad(str(exc))
                 continue
             if status is Status.OTHER:
                 dropped["status_other"] += 1
@@ -227,15 +218,13 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
             elif capacity is None:
                 dropped["missing_capacity"] += 1
             elif ref_id in seen:
-                errors.append((reader.line_num, f"duplicate ref_id {ref_id!r}"))
+                bad(f"duplicate ref_id {ref_id!r}")
             else:
                 seen.add(ref_id)
                 records.append(ProjectRecord(
                     ref_id=ref_id, name=name.strip(), country=country.strip(),
                     region=region.strip(), status=status, launch_year=launch_year,
                     capacity_mw=capacity, confidential=confidential))
-    if errors:
-        raise SnapshotDataError(path, errors)
     report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
                         dropped_reasons=dict(dropped))
     return Snapshot(vintage_year, records, load_report=report)

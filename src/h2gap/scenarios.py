@@ -68,17 +68,17 @@ def load_requirements(path) -> list[ScenarioRequirement]:
     Exactly one of ``capacity_gw`` / ``production_mt_per_yr`` is filled per
     row; production volumes become input capacity at 3750 full-load hours and
     69% efficiency. Duplicate (source, scenario_name, year) keys are an error.
-    Row errors raise ValueError prefixed ``path:line``, schema errors SnapshotSchemaError.
+    Bad rows raise one SnapshotDataError naming their lines, schema errors
+    SnapshotSchemaError.
     """
     reqs: list[ScenarioRequirement] = []
     seen: set[tuple] = set()
-    with read_csv(path, _REQUIRED_COLUMNS) as (reader, index):
+    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad):
         positions = [index.get(c) for c in (*_REQUIRED_COLUMNS, "approximate")]
-        for row in filter(None, reader):    # a blank line holds no record
-            # a missing trailing field, like an absent approximate column, is empty
+        for row in rows:
+            # an absent approximate column reads as empty
             source, scenario_name, year, cap, prod, outlier, approximate = (
-                row[i].strip() if i is not None and i < len(row) else ""
-                for i in positions)
+                row[i].strip() if i is not None else "" for i in positions)
             try:
                 if bool(cap) == bool(prod):
                     raise ValueError("exactly one of capacity_gw and "
@@ -91,7 +91,8 @@ def load_requirements(path) -> list[ScenarioRequirement]:
                 if key in seen:
                     raise ValueError(f"duplicate scenario key {key}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                bad(str(exc))
+                continue
             seen.add(key)
             reqs.append(req)
     return reqs

@@ -108,9 +108,14 @@ def _cohort_unit_cost(build_year: int, trajectory: CapacityTrajectory,
     """Subsidy per GW built in ``build_year`` over its payback window ($bn/GW)."""
     locked_lcoh = lcoh(build_year, trajectory, params).total
     eta = params.efficiency.at(build_year)
-    total_gap = sum(
-        max(0.0, locked_lcoh - gas_cost(t, params, carbon_pricing).total)
-        for t in range(build_year, build_year + _payback_payments(params)))
+    final = build_year + _payback_payments(params) - 1     # last payment year
+    # gas is flat from the later of its and the CO2 price's last anchors on, so
+    # the payment years after that one repeat its gap: add them in closed form
+    last = min(final, max(build_year, *params.gas_price.anchors(),
+                          *params.co2_price.anchors()))
+    gaps = [max(0.0, locked_lcoh - gas_cost(t, params, carbon_pricing).total)
+            for t in range(build_year, last + 1)]
+    total_gap = sum(gaps) + (final - last) * gaps[-1]
     # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
     return params.full_load_hours * eta * total_gap * 1e-6
 

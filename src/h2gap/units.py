@@ -47,32 +47,43 @@ class SnapshotSchemaError(ValueError):
 
 
 class SnapshotDataError(ValueError):
-    """One or more rows could not be parsed; carries (line, message) pairs."""
+    """Bad rows of an input CSV (snapshot, pipeline, requirements) as (line, message)
+    pairs; reads ``<file>: N bad row(s)`` and then ``line L: <message>`` per row."""
 
     def __init__(self, path, row_errors: list[tuple[int, str]]):
         self.path = str(path)
         self.row_errors = row_errors
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in row_errors)
-        super().__init__(f"{path}: {len(row_errors)} bad row(s): {lines}")
+        lines = "".join(f"\n  line {ln}: {msg}" for ln, msg in row_errors)
+        super().__init__(f"{path}: {len(row_errors)} bad row(s){lines}")
 
 
 @contextmanager
 def read_csv(path, required: tuple[str, ...]):
-    """Yield the :func:`csv.reader` of a UTF-8 input CSV (BOM allowed) past its header,
-    and a map of each column name to its last position. A missing ``required``
-    column or text that is not UTF-8 CSV raises :class:`SnapshotSchemaError`."""
+    """Yield the records of a UTF-8 input CSV (BOM allowed) past its header, blank
+    lines skipped and short ones padded to the header's width; a map of each column
+    name to its last position; and ``bad(message)``, which records a row error on the
+    physical line the current record ends on. A missing ``required`` column or text
+    that is not UTF-8 CSV raises :class:`SnapshotSchemaError`, and the recorded row
+    errors raise as one :class:`SnapshotDataError` when the block ends."""
+    errors: list[tuple[int, str]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            index = {name: i for i, name in enumerate(next(reader, []))}
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
             missing = ", ".join(repr(c) for c in required if c not in index)
             if missing:
                 raise SnapshotSchemaError(f"{path}: missing column {missing}")
-            yield reader, index
+            width = len(header)
+            rows = (row if len(row) >= width else row + [""] * (width - len(row))
+                    for row in reader if row)
+            yield rows, index, lambda message: errors.append((reader.line_num, message))
         except UnicodeDecodeError as exc:   # its position counts from a read buffer
             raise SnapshotSchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise SnapshotSchemaError(f"{path}:{reader.line_num}: not CSV: {exc}") from None
+    if errors:
+        raise SnapshotDataError(path, errors)
 
 
 def _check_flh_eta(full_load_hours: float, efficiency: float) -> None:

@@ -557,21 +557,33 @@ def test_approximate_column_can_be_left_out(tmp_path, argv, flag, name):
      "A,one,2030,100,,false,false\n"
      "\n"
      'B,"two\nlines",2030,200,,false,false\n'
-     "C,three,2030,300,,maybe,false\n"),
+     "C,three,2030,300,,maybe,false\n"
+     "D,four,20x0,400,,false,false\n"),
     (["lcoh"], "--pipeline",
      "year,additions_gw,approximate\n"
      "2023,1.86,false\n"
      "\n"
      '2024,11.0,"tr\nue"\n'
-     "2025,lots,true\n"),
-], ids=["requirements", "pipeline"])
+     "2025,lots,true\n"
+     "2024,12.0\n"),                          # a duplicate year in a short record
+    (["ambition"], "--snapshot",
+     "ref_id,name,country,region,status,launch_year,capacity_mw_el,confidential\n"
+     "A,one,DEU,Europe,Concept,2024,10,false\n"
+     "\n"
+     'B,"two\nlines",DEU,Europe,Concept,2024,10,false\n'
+     "C,three,DEU,Europe,Mystery,2024,10,false\n"
+     "A,four,DEU,Europe,Concept,2024,10,false\n"),
+], ids=["requirements", "pipeline", "snapshot"])
 def test_input_row_errors_name_physical_lines(tmp_path, capsys, argv, flag, text):
-    # a blank line and a quoted field spanning two lines put the bad row on line 6
+    # a blank line and a quoted field spanning two lines put the bad rows on
+    # lines 6 and 7; every input CSV reports all of its bad rows in one error
     path = tmp_path / "input.csv"
     path.write_text(text)
     out = tmp_path / "out"
     assert main([*argv, flag, str(path), "--out", str(out)]) == 3
-    assert f"{path}:6: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 2 bad row(s)\n")
+    assert re.findall(r"^  line (\d+): ", err, re.M) == ["6", "7"]
     assert not out.exists()
 
 
@@ -607,7 +619,8 @@ def test_ambition_non_finite_requirement_exits_3(tmp_path, capsys, capacity):
                     f"outlier,approximate\nOnly,solo,2030,{capacity},,false,false\n")
     out = tmp_path / "out"
     assert main(["ambition", "--scenarios-file", str(reqs), "--out", str(out)]) == 3
-    assert f"{reqs}:2:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: {reqs}: 1 bad row(s)\n  line 2: requirement capacity must be positive")
     assert not out.exists()
 
 
@@ -615,9 +628,11 @@ def test_ambition_non_finite_requirement_exits_3(tmp_path, capsys, capacity):
     (["ambition"], "--snapshot", "snap2023.csv"),
     (["ambition"], "--scenarios-file", "scenario_requirements.csv"),
     (["lcoh", "--horizon", "2050"], "--pipeline", "pipeline_additions.csv"),
-], ids=["snapshot", "requirements", "pipeline"])
+    (["lcoh"], "--params", "params_central.json"),
+], ids=["snapshot", "requirements", "pipeline", "params"])
 def test_input_csv_with_byte_order_mark_reads_the_same(tmp_path, argv, flag, name):
-    # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+    # spreadsheet exports start a UTF-8 CSV with a byte-order mark, and some
+    # editors save JSON with one
     plain = fixtures.data_dir() / name
     marked = tmp_path / "bom" / name
     marked.parent.mkdir()

@@ -9,6 +9,7 @@ from h2gap import (
     stats,
 )
 from h2gap import fixtures
+from h2gap.units import SnapshotDataError
 
 
 def _req(capacity, year=2030, i=[0], outlier=False):
@@ -183,5 +184,7 @@ def test_row_errors_name_their_line(tmp_path, row):
     path.write_text(
         "source,scenario_name,year,capacity_gw,production_mt_per_yr,outlier,approximate\n"
         f"B,y,2030,50,,false,false\n{row}\n")
-    with pytest.raises(ValueError, match=":3: "):
+    with pytest.raises(SnapshotDataError) as exc:
         load_requirements(path)
+    assert exc.value.path == str(path)
+    assert [ln for ln, _ in exc.value.row_errors] == [3]

@@ -447,3 +447,37 @@ def test_budget_validation(central, pipeline_traj):
     with pytest.raises(ValueError):
         capacity_supported_by_budget(10.0, central, False, pipeline_traj,
                                      allocation="cheapest")
+
+
+@pytest.mark.parametrize("carbon", [False, True])
+def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, carbon):
+    # payment years past the last gas and CO2 anchors are added in closed form
+    from h2gap.subsidies import _cohort_unit_cost
+    params = dataclasses.replace(central, payback_period=40.0)
+    for year in offset_traj.build_years:
+        locked = lcoh(year, offset_traj, params).total
+        gaps = sum(max(0.0, locked - gas_cost(t, params, carbon).total)
+                   for t in range(year, year + 40))
+        expected = params.full_load_hours * params.efficiency.at(year) * gaps * 1e-6
+        assert expected > 0.0
+        assert _cohort_unit_cost(year, offset_traj, params, carbon) \
+            == pytest.approx(expected, rel=1e-12)
+
+
+def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, monkeypatch):
+    # the gas cost is looked up at most once per year up to the last anchor,
+    # whatever the payback period: a year-by-year loop would run for hours,
+    # and the count stops it after 1000 lookups
+    import h2gap.subsidies
+    calls = []
+
+    def counting_gas_cost(year, params, carbon_pricing):
+        calls.append(year)
+        assert len(calls) <= 1000, "gas cost looked up once per payment year"
+        return gas_cost(year, params, carbon_pricing)
+
+    monkeypatch.setattr(h2gap.subsidies, "gas_cost", counting_gas_cost)
+    params = dataclasses.replace(central, payback_period=1e9)
+    res = capacity_supported_by_budget(100.0, params, False, pipeline_traj)
+    assert max(calls) == 2045 and not res.saturated
+    assert math.isfinite(res.spent_busd) and res.spent_busd == pytest.approx(100.0)
