@@ -28,9 +28,9 @@ _EXPORTS = {
     ),
     "projects": (
         "CapacitySeries", "Fate", "FateRates", "ProjectRecord", "SankeyData",
-        "Snapshot", "Status", "TransitionReport", "distribute_confidential",
-        "fate_rates", "implementation_gap", "load_snapshot", "pipeline",
-        "sankey_flows", "track",
+        "Snapshot", "Status", "TransitionReport", "fate_rates",
+        "implementation_gap", "load_snapshot", "pipeline", "sankey_flows",
+        "track",
     ),
     "scenarios": (
         "RequirementStats", "ScenarioRequirement", "ambition_gap",

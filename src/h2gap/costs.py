@@ -160,6 +160,8 @@ class ParamSet:
     emission_intensity: float               # tCO2 per MWh(gas), upstream included
 
     def __post_init__(self):
+        if not isinstance(self.scenario_id, str):
+            raise ValueError(f"scenario_id must be a string, got {self.scenario_id!r}")
         # series are finite by construction; float() fields may still be nan/inf.
         # A series must also cover the first year of every path, so that a late
         # first anchor is a bad parameter set rather than a failure mid-compute.
@@ -182,8 +184,15 @@ class ParamSet:
             raise ValueError("payback period and stack lifetime must be >= 1 year")
         if self.cost_of_capital <= 0.0:
             raise ValueError("cost of capital must be positive")
-        if self.investment_2023 < 0.0:
-            raise ValueError("2023 investment cost must be non-negative")
+        # costs, prices and the emission intensity may be zero, never negative
+        for name in ("investment_2023", "fom_share", "transport_storage",
+                     "emission_intensity"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("electricity_price", "gas_price", "co2_price"):
+            anchors = getattr(self, name).anchors()
+            if min(anchors.values()) < 0.0:
+                raise ValueError(f"{name} anchors must be >= 0, got {anchors}")
         # lcoh's per-set constants, computed once per set rather than per
         # call. Not a field: repr, == and fields() ignore it, and
         # dataclasses.replace() recomputes it through __init__.
@@ -200,7 +209,7 @@ class ParamSet:
     def from_dict(cls, raw: Mapping) -> "ParamSet":
         try:
             return cls(
-                scenario_id=str(raw["scenario_id"]),
+                scenario_id=raw["scenario_id"],
                 investment_2023=float(raw["investment_2023_usd_per_kw"]),
                 stack_share_2023=float(raw["stack_share_2023"]),
                 learning_rate_stack=float(raw["learning_rate_stack"]),

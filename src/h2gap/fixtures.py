@@ -10,6 +10,7 @@ at real database exports in the same schema.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -57,11 +58,13 @@ def load_pipeline(path) -> CapacityTrajectory:
     """Read a capacity trajectory CSV (columns ``year,additions_gw``; others ignored).
 
     The earliest row is the installed base: cumulative capacity at the end of
-    that year. Later rows are annual additions. Bad rows raise one
-    SnapshotDataError naming their lines, a missing column SnapshotSchemaError.
+    that year, which must be positive. Later rows are annual additions, finite
+    and >= 0. Bad rows raise one SnapshotDataError naming their lines, a
+    missing column SnapshotSchemaError.
     """
     rows: dict[int, float] = {}
-    with read_csv(path, ("year", "additions_gw")) as (records, index, bad):
+    lines: dict[int, int] = {}
+    with read_csv(path, ("year", "additions_gw")) as (records, index, bad, line):
         year_col, gw_col = index["year"], index["additions_gw"]
         for row in records:
             try:
@@ -71,8 +74,13 @@ def load_pipeline(path) -> CapacityTrajectory:
                 continue
             if year in rows:
                 bad(f"duplicate year {year}")
+            elif not 0.0 <= gw < math.inf:
+                bad(f"additions_gw must be finite and >= 0, got {gw}")
             else:
-                rows[year] = gw
+                rows[year], lines[year] = gw, line()
+        if rows and rows[min(rows)] == 0.0:
+            bad(f"the installed base in {min(rows)} must be positive, got 0.0",
+                line=lines[min(rows)])
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")
     base_year = min(rows)

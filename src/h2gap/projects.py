@@ -15,8 +15,8 @@ Status strings are matched case-insensitively; ``FID`` and
 category. ``DEMO`` rows additionally need ``demo_state`` (``running``,
 ``future`` or ``decommissioned``) to be mapped onto an operating status.
 Rows without a launch year or capacity, or with an ``Other`` status, are
-dropped (counted in the load report); unparseable rows fail the load with
-line-level diagnostics.
+dropped (counted in the load report), so every kept :class:`ProjectRecord`
+has both; unparseable rows fail the load with line-level diagnostics.
 
 The result types (:class:`LoadReport`, :class:`TransitionReport`,
 :class:`FateRates`, :class:`SankeyData` and their parts) are named tuples:
@@ -39,7 +39,7 @@ from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool, read_csv
 __all__ = [
     "Status", "Fate", "ProjectRecord", "Snapshot", "LoadReport",
     "SnapshotSchemaError", "SnapshotDataError",
-    "load_snapshot", "distribute_confidential", "track", "fate_rates",
+    "load_snapshot", "track", "fate_rates",
     "implementation_gap", "pipeline", "sankey_flows",
     "TransitionReport", "ProjectFate", "FateRates", "FateShares",
     "CapacitySeries", "SankeyData", "SankeyNode", "SankeyFlow",
@@ -84,29 +84,30 @@ _REQUIRED_COLUMNS = ("ref_id", "name", "country", "region", "status",
 
 class ProjectRecord(namedtuple("_ProjectRecord", (
         "ref_id", "name", "country", "region", "status", "launch_year",
-        "capacity_mw", "confidential", "synthetic"))):
-    """One project announcement row. Capacity is MW of electrical input.
+        "capacity_mw", "confidential"))):
+    """One project announcement row as :func:`load_snapshot` keeps it: it
+    always has a launch year and a positive, finite capacity in MW of
+    electrical input.
 
     A named tuple because a snapshot load builds one per kept row: with an
     explicit ``__new__`` signature it costs about a third of a frozen
     dataclass. Records are immutable and hashable; like any tuple they equal
     a plain tuple with the same values. ``__new__`` is the only way in:
     ``_make`` (and so ``_replace``) and unpickling go through it too.
-    ``synthetic`` marks a pro-rata share of a confidential project, which
-    cannot be tracked.
+    ``confidential`` is the row's parsed flag; no computation reads it.
     """
     __slots__ = ()
 
     def __new__(cls, ref_id: str, name: str, country: str, region: str,
-                status: Status, launch_year: int | None,
-                capacity_mw: float | None, confidential: bool = False,
-                synthetic: bool = False):
-        if capacity_mw is not None and not 0.0 < capacity_mw < math.inf:
-            raise ValueError(f"{ref_id}: capacity must be positive and finite "
-                             f"when present")
+                status: Status, launch_year: int, capacity_mw: float,
+                confidential: bool = False):
+        if launch_year is None:
+            raise ValueError(f"{ref_id}: launch year is required")
+        if capacity_mw is None or not 0.0 < capacity_mw < math.inf:
+            raise ValueError(f"{ref_id}: capacity must be positive and finite, "
+                             f"got {capacity_mw}")
         return tuple.__new__(cls, (ref_id, name, country, region, status,
-                                   launch_year, capacity_mw, confidential,
-                                   synthetic))
+                                   launch_year, capacity_mw, confidential))
 
     @classmethod
     def _make(cls, iterable) -> ProjectRecord:
@@ -136,9 +137,6 @@ class Snapshot:
 
     def by_ref(self) -> dict[str, ProjectRecord]:
         return {r.ref_id: r for r in self.records}
-
-    def total_capacity_mw(self) -> float:
-        return sum(r.capacity_mw or 0.0 for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -170,7 +168,7 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     statuses: dict[str, Status] = {}
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
-    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad):
+    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad, _):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
         demo_col = index.get("demo_state")
         for row in rows:
@@ -230,41 +228,6 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     return Snapshot(vintage_year, records, load_report=report)
 
 
-def distribute_confidential(snapshot: Snapshot) -> Snapshot:
-    """Reassign confidential capacity pro rata to regions.
-
-    Every confidential record is replaced by one synthetic record per region,
-    sized by the region's share of non-confidential capacity. Synthetic
-    records keep launch year and status but cannot be tracked across
-    vintages. Total capacity is preserved. A snapshot without any
-    non-confidential capacity has no defined proportions and is an error.
-    """
-    confidential = [r for r in snapshot.records if r.confidential]
-    if not confidential:
-        return snapshot
-    open_records = [r for r in snapshot.records if not r.confidential]
-    total_open = sum(r.capacity_mw or 0.0 for r in open_records)
-    if total_open <= 0.0:
-        raise ValueError("cannot distribute confidential capacity: no "
-                         "non-confidential capacity to define region shares")
-    region_caps: dict[str, float] = {}
-    for rec in open_records:
-        region_caps[rec.region] = region_caps.get(rec.region, 0.0) + (rec.capacity_mw or 0.0)
-    shares = {region: cap / total_open for region, cap in sorted(region_caps.items())}
-    out = list(open_records)
-    for rec in confidential:
-        for region, share in shares.items():
-            if share == 0.0:
-                continue
-            out.append(ProjectRecord(
-                ref_id=f"{rec.ref_id}::{region}", name=rec.name,
-                country=rec.country, region=region, status=rec.status,
-                launch_year=rec.launch_year,
-                capacity_mw=(rec.capacity_mw or 0.0) * share,
-                confidential=False, synthetic=True))
-    return Snapshot(snapshot.vintage_year, out, load_report=snapshot.load_report)
-
-
 # ---------------------------------------------------------------------------
 # Tracking across vintages
 # ---------------------------------------------------------------------------
@@ -322,8 +285,7 @@ def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
     """Classify the fate of every project announced for ``target_year``.
 
     The cohort is taken from the earlier vintage (launch year equal to the
-    target year, synthetic confidential shares excluded) and judged against
-    the final vintage:
+    target year) and judged against the final vintage:
 
     * success      -- present, Operational, launch year still the target year
                       (or moved earlier; flagged ``early``)
@@ -342,42 +304,36 @@ def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
     if target_year > final.vintage_year:
         raise ValueError(f"target year {target_year} is after the final vintage "
                          f"{final.vintage_year}")
-    cohort = [r for r in earlier.records
-              if r.launch_year == target_year and not r.synthetic]
+    cohort = [r for r in earlier.records if r.launch_year == target_year]
     final_by_ref = final.by_ref()
     fates: list[ProjectFate] = []
     for rec in cohort:
-        cap_e = rec.capacity_mw or 0.0
         fin = final_by_ref.get(rec.ref_id)
-        if fin is None or fin.synthetic:
+        if fin is None:
             fates.append(ProjectFate(rec.ref_id, rec.name, rec.status,
-                                     Fate.DISAPPEARED, cap_e))
+                                     Fate.DISAPPEARED, rec.capacity_mw))
             continue
         if fin.status is Status.DECOMMISSIONED:
             fates.append(ProjectFate(rec.ref_id, rec.name, rec.status,
-                                     Fate.DISAPPEARED, cap_e,
+                                     Fate.DISAPPEARED, rec.capacity_mw,
                                      final_status=fin.status,
                                      final_launch_year=fin.launch_year))
             continue
-        cap_f = fin.capacity_mw or 0.0
-        dummy = cap_e - cap_f
-        fl = fin.launch_year if fin.launch_year is not None else target_year
-        if fin.status is Status.OPERATIONAL and fl <= target_year:
-            fates.append(ProjectFate(rec.ref_id, rec.name, rec.status,
-                                     Fate.SUCCESS, cap_f, dummy,
-                                     final_status=fin.status, final_launch_year=fl,
-                                     early=fl < target_year))
-        else:
-            fates.append(ProjectFate(
-                rec.ref_id, rec.name, rec.status, Fate.DELAYED, cap_f, dummy,
-                final_status=fin.status, final_launch_year=fl,
-                operational_late=fin.status is Status.OPERATIONAL and fl > target_year))
-    later_cohort_mw = sum(r.capacity_mw or 0.0 for r in later.records
-                          if r.launch_year == target_year and not r.synthetic)
+        operational = fin.status is Status.OPERATIONAL
+        late = fin.launch_year > target_year
+        fates.append(ProjectFate(
+            rec.ref_id, rec.name, rec.status,
+            Fate.SUCCESS if operational and not late else Fate.DELAYED,
+            fin.capacity_mw, rec.capacity_mw - fin.capacity_mw,
+            final_status=fin.status, final_launch_year=fin.launch_year,
+            operational_late=operational and late,
+            early=operational and fin.launch_year < target_year))
+    later_cohort_mw = sum(r.capacity_mw for r in later.records
+                          if r.launch_year == target_year)
     return TransitionReport(
         target_year=target_year, earlier_vintage=earlier.vintage_year,
         later_vintage=later.vintage_year, final_vintage=final.vintage_year,
-        fates=tuple(fates), announced_mw=sum(r.capacity_mw or 0.0 for r in cohort),
+        fates=tuple(fates), announced_mw=sum(r.capacity_mw for r in cohort),
         later_announced_mw=later_cohort_mw)
 
 
@@ -433,7 +389,7 @@ def fate_rates(report: TransitionReport, by_status: bool = False) -> FateRates:
 def implementation_gap(earlier: Snapshot, realized_gw: float,
                        target_year: int) -> float:
     """Announced capacity for the target year minus realised capacity, >= 0 (GW)."""
-    announced_mw = sum(r.capacity_mw or 0.0 for r in earlier.records
+    announced_mw = sum(r.capacity_mw for r in earlier.records
                        if r.launch_year == target_year)
     return max(0.0, announced_mw / 1000.0 - realized_gw)
 
@@ -475,9 +431,7 @@ def pipeline(snapshot: Snapshot, through_year: int,
         raise ValueError(f"group_by must be year/status/region, got {group_by!r}")
     annual: dict[tuple[str, int], float] = {}
     for rec in snapshot.records:
-        if rec.launch_year is None or rec.launch_year > through_year:
-            continue
-        if rec.status is Status.DECOMMISSIONED:
+        if rec.launch_year > through_year or rec.status is Status.DECOMMISSIONED:
             continue
         if group_by == "year":
             key = str(rec.launch_year)
@@ -486,7 +440,7 @@ def pipeline(snapshot: Snapshot, through_year: int,
         else:
             key = rec.region
         k = (key, rec.launch_year)
-        annual[k] = annual.get(k, 0.0) + (rec.capacity_mw or 0.0) / 1000.0
+        annual[k] = annual.get(k, 0.0) + rec.capacity_mw / 1000.0
     years = tuple(sorted({y for _, y in annual}))
     groups = tuple(sorted({g for g, _ in annual}))
     return CapacitySeries(group_by=group_by, years=years, groups=groups,
@@ -572,8 +526,7 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
         raise ValueError(f"snapshots must be ordered by vintage, got {vintages}")
 
     def cohort(snap: Snapshot) -> dict[str, ProjectRecord]:
-        return {r.ref_id: r for r in snap.records
-                if r.launch_year == target_year and not r.synthetic}
+        return {r.ref_id: r for r in snap.records if r.launch_year == target_year}
 
     cohorts = [cohort(s) for s in snapshots]
     flow_acc: dict[tuple[int, str, int, str], float] = {}
@@ -591,8 +544,8 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
         nxt_by_ref = snapshots[i + 1].by_ref()
         for ref in sorted(set(cur) | set(nxt)):
             if ref in cur and ref in nxt:
-                c0 = cur[ref].capacity_mw or 0.0
-                c1 = nxt[ref].capacity_mw or 0.0
+                c0 = cur[ref].capacity_mw
+                c1 = nxt[ref].capacity_mw
                 add_flow(i, cur[ref].status.value, i + 1, nxt[ref].status.value,
                          min(c0, c1))
                 if c0 > c1:
@@ -602,27 +555,26 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
             elif ref in cur:
                 rec = cur[ref]
                 moved = nxt_by_ref.get(ref)
-                if moved is not None and not moved.synthetic and \
-                        moved.launch_year is not None:
+                if moved is None:
+                    label = DISAPPEARED
+                else:
                     label = DELAYED_OUT if moved.launch_year > target_year \
                         else MOVED_EARLIER
-                else:
-                    label = DISAPPEARED
-                add_flow(i, rec.status.value, i + 1, label, rec.capacity_mw or 0.0)
+                add_flow(i, rec.status.value, i + 1, label, rec.capacity_mw)
             else:
                 add_flow(i, ENTERING, i + 1, nxt[ref].status.value,
-                         nxt[ref].capacity_mw or 0.0)
+                         nxt[ref].capacity_mw)
     # outcome stage: realised on schedule vs still open
     for ref in sorted(cohorts[-1]):
         rec = cohorts[-1][ref]
         label = REALIZED if rec.status is Status.OPERATIONAL else NOT_REALIZED
-        add_flow(n - 1, rec.status.value, n, label, rec.capacity_mw or 0.0)
+        add_flow(n - 1, rec.status.value, n, label, rec.capacity_mw)
 
     nodes: dict[tuple[int, str], float] = {}
     for i, members in enumerate(cohorts):
         for rec in members.values():
             key = (i, rec.status.value)
-            nodes[key] = nodes.get(key, 0.0) + (rec.capacity_mw or 0.0) / 1000.0
+            nodes[key] = nodes.get(key, 0.0) + rec.capacity_mw / 1000.0
     for (sf, lf, st, lt), gw in flow_acc.items():
         if lf in _BOOKKEEPING:
             nodes[(sf, lf)] = nodes.get((sf, lf), 0.0) + gw

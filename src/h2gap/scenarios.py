@@ -73,7 +73,7 @@ def load_requirements(path) -> list[ScenarioRequirement]:
     """
     reqs: list[ScenarioRequirement] = []
     seen: set[tuple] = set()
-    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad):
+    with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad, _):
         positions = [index.get(c) for c in (*_REQUIRED_COLUMNS, "approximate")]
         for row in rows:
             # an absent approximate column reads as empty

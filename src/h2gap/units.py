@@ -61,10 +61,11 @@ class SnapshotDataError(ValueError):
 def read_csv(path, required: tuple[str, ...]):
     """Yield the records of a UTF-8 input CSV (BOM allowed) past its header, blank
     lines skipped and short ones padded to the header's width; a map of each column
-    name to its last position; and ``bad(message)``, which records a row error on the
-    physical line the current record ends on. A missing ``required`` column or text
-    that is not UTF-8 CSV raises :class:`SnapshotSchemaError`, and the recorded row
-    errors raise as one :class:`SnapshotDataError` when the block ends."""
+    name to its last position; ``bad(message, line=None)``, which records a row error
+    on ``line`` or else on the physical line the current record ends on; and
+    ``line()``, that physical line. A missing ``required`` column or text that is
+    not UTF-8 CSV raises :class:`SnapshotSchemaError`, and the recorded row errors
+    raise as one :class:`SnapshotDataError`, in line order, when the block ends."""
     errors: list[tuple[int, str]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -77,13 +78,17 @@ def read_csv(path, required: tuple[str, ...]):
             width = len(header)
             rows = (row if len(row) >= width else row + [""] * (width - len(row))
                     for row in reader if row)
-            yield rows, index, lambda message: errors.append((reader.line_num, message))
+
+            def bad(message: str, line: int | None = None) -> None:
+                errors.append((line or reader.line_num, message))
+
+            yield rows, index, bad, lambda: reader.line_num
         except UnicodeDecodeError as exc:   # its position counts from a read buffer
             raise SnapshotSchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise SnapshotSchemaError(f"{path}:{reader.line_num}: not CSV: {exc}") from None
     if errors:
-        raise SnapshotDataError(path, errors)
+        raise SnapshotDataError(path, sorted(errors))
 
 
 def _check_flh_eta(full_load_hours: float, efficiency: float) -> None:

@@ -389,6 +389,15 @@ def _edited_params(tmp_path, key, value) -> Path:
     ("gas_usd_per_mwh", "19"),
     ("full_load_hours", [3750]),
     ("gas_usd_per_mwh", {"2030": 20.0, "2050": 25.0}),
+    # values the model has no meaning for; zero prices stay allowed
+    ("fom_share_per_yr", -5),
+    ("transport_storage_usd_per_mwh", -20),
+    ("gas_emission_intensity_t_per_mwh", -0.265),
+    ("electricity_usd_per_mwh", {"2024": 60, "2030": -50}),
+    ("gas_usd_per_mwh", {"2024": -19}),
+    ("co2_usd_per_t", {"2024": -117}),
+    ("scenario_id", {"a": 1}),
+    ("scenario_id", 7),
 ])
 def test_invalid_params_file_is_usage_error(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -410,14 +419,25 @@ def test_missing_bundled_params_is_usage_error(tmp_path, capsys, monkeypatch,
     assert "parameter file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("rows, message", [
+    pytest.param("2023,1.86,false\n2024,nan,false\n",
+                 "additions_gw must be finite and >= 0, got nan", id="nan"),
+    pytest.param("2023,1.86,false\n2024,inf,false\n",
+                 "additions_gw must be finite and >= 0, got inf", id="inf"),
+    pytest.param("2023,1.86,false\n2024,-1,false\n",
+                 "additions_gw must be finite and >= 0, got -1.0", id="-1"),
+    # the earliest year is the installed base, wherever its row stands
+    pytest.param("2024,11.0,true\n2023,0,false\n2025,0,true\n",
+                 "the installed base in 2023 must be positive, got 0.0", id="base-0"),
+    pytest.param("2024,11.0,true\n2023,nan,false\n",
+                 "additions_gw must be finite and >= 0, got nan", id="base-nan"),
+])
+def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, rows, message):
     pipe = tmp_path / "pipe.csv"
-    pipe.write_text(f"year,additions_gw,approximate\n2023,1.86,false\n"
-                    f"2024,{value},false\n")
+    pipe.write_text(f"year,additions_gw,approximate\n{rows}")
     out = tmp_path / "out"
     assert main(["lcoh", "--pipeline", str(pipe), "--out", str(out)]) == 3
-    assert "must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pipe}: 1 bad row(s)\n  line 3: {message}\n"
     assert not out.exists()
 
 

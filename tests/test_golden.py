@@ -1,0 +1,254 @@
+"""Golden report corpus: every command line of a fixed grid gives recorded bytes.
+
+Each grid line runs ``h2gap.cli.main`` in process. Its digest is one sha256
+over the exit code, stdout, stderr and every report file (name and bytes).
+Paths are written as placeholders, in the argv and in the captured text:
+``<DATA>`` is the bundled fixture directory and ``<TMP>`` a temporary
+directory that holds the input files below and ``--out``.
+
+The digests live in ``tests/golden/digests.json`` together with the Python
+version and machine they were recorded on: floats pass through libm, whose
+last bits may differ elsewhere, and float sums change between Python minor
+versions. A mismatch of either fails, naming both values. A change that
+alters report bytes on purpose rewrites the file with
+``PYTHONPATH=src python tests/golden/regen.py`` and lists the changed lines.
+"""
+
+from __future__ import annotations
+
+import codecs
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import shutil
+import sys
+from pathlib import Path
+
+from h2gap import fixtures
+from h2gap.cli import main
+
+DIGEST_FILE = Path(__file__).parent / "golden" / "digests.json"
+USAGE_COLUMNS = "80"    # argparse wraps its usage lines to the terminal width
+
+SNAPSHOT_HEADER = ("ref_id,name,country,region,status,launch_year,"
+                   "capacity_mw_el,confidential\n")
+PIPELINE_HEADER = "year,additions_gw,approximate\n"
+
+
+def _bundled(name: str) -> bytes:
+    return (fixtures.data_dir() / name).read_bytes()
+
+
+def _params(**changes) -> bytes:
+    raw = json.loads(_bundled("params_central.json"))
+    raw.update(changes)
+    return json.dumps(raw).encode()
+
+
+def _pipeline_with(row: str) -> bytes:
+    return _bundled("pipeline_additions.csv") + row.encode()
+
+
+# input files of the error lines, written under <TMP>
+INPUTS = {
+    "snap_bad_rows.csv": (SNAPSHOT_HEADER + "A,one,DEU,Europe,Concept,20x4,10,false\n"
+                          "B,two,DEU,Europe,Mystery,2024,10,false\n"
+                          "C,three,DEU,Europe,Concept,2024,nan,false\n"
+                          "D,four,DEU,Europe,Concept,2024,10,maybe\n"
+                          "D,four,DEU,Europe,Concept,2024,10,false\n"
+                          "D,five,DEU,Europe,Concept,2024,10,false\n").encode(),
+    "snap_missing_column.csv": b"ref_id,name,country,region,status,launch_year\n"
+                               b"A,one,DEU,Europe,Concept,2024\n",
+    "snap_latin1.csv": _bundled("snap2023.csv") + "Z,caf\xe9,1,1,1,1,1,1\n".encode("latin-1"),
+    "snap2023_bom.csv": codecs.BOM_UTF8 + _bundled("snap2023.csv"),
+    "reqs_bad_rows.csv": _bundled("scenario_requirements.csv")
+    + b"Z,one,20x0,100,,false,false\nZ,two,2030,nan,,false,false\n",
+    "reqs_missing_column.csv": b"source,scenario_name,year\nA,one,2030\n",
+    "reqs_bom.csv": codecs.BOM_UTF8 + _bundled("scenario_requirements.csv"),
+    "pipe_bad_rows.csv": _pipeline_with("2031,lots,true\n2030,5.0,true\n"),
+    "pipe_nan.csv": _pipeline_with("2031,nan,true\n"),
+    "pipe_inf.csv": _pipeline_with("2031,inf,true\n"),
+    "pipe_negative.csv": _pipeline_with("2031,-1,true\n"),
+    "pipe_zero_base.csv": (PIPELINE_HEADER + "2023,0,false\n2024,11.0,true\n").encode(),
+    "pipe_nan_base.csv": (PIPELINE_HEADER + "2023,nan,false\n2024,11.0,true\n").encode(),
+    "pipe_one_row.csv": (PIPELINE_HEADER + "2023,1.86,false\n").encode(),
+    "pipe_missing_column.csv": b"year,approximate\n2023,false\n",
+    "pipe_bom.csv": codecs.BOM_UTF8 + _bundled("pipeline_additions.csv"),
+    "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
+    "params_not_json.json": b"{not json",
+    "params_missing_key.json": json.dumps(
+        {k: v for k, v in json.loads(_bundled("params_central.json")).items()
+         if k != "cost_of_capital"}).encode(),
+    "params_nan.json": _params(cost_of_capital=float("nan")),
+    "params_late_anchor.json": _params(gas_usd_per_mwh={"2030": 20.0}),
+    "params_negative_fom.json": _params(fom_share_per_yr=-5),
+    "params_negative_transport.json": _params(transport_storage_usd_per_mwh=-20),
+    "params_negative_intensity.json": _params(gas_emission_intensity_t_per_mwh=-0.265),
+    "params_negative_electricity.json": _params(
+        electricity_usd_per_mwh={"2024": 60, "2030": -50}),
+    "params_negative_gas.json": _params(gas_usd_per_mwh={"2024": -19}),
+    "params_negative_co2.json": _params(co2_usd_per_t={"2024": -117}),
+    "params_zero_prices.json": _params(electricity_usd_per_mwh={"2024": 0},
+                                       co2_usd_per_t={"2024": 0}),
+    "params_dict_scenario.json": _params(scenario_id={"a": 1}),
+    "params_number_scenario.json": _params(scenario_id=7),
+    "blocker": b"",
+}
+
+SCENARIOS = ("central", "progressive", "conservative")
+HORIZONS = ("2030", "2045", "2060", "2100")
+FORMATS = ("csv", "json")
+SNAPS = {v: f"<DATA>/snap{v}.csv" for v in (2021, 2022, 2023)}
+
+
+def _grid() -> list[list[str]]:
+    lines = []
+    for fmt in FORMATS:
+        for scenario in SCENARIOS:
+            for carbon in ("off", "on"):
+                common = ["--scenario", scenario, "--carbon-pricing", carbon,
+                          "--format", fmt]
+                for horizon in HORIZONS:
+                    lines.append(["lcoh", *common, "--horizon", horizon])
+                    lines.append(["gap", *common, "--horizon", horizon])
+                    lines.append(["subsidies", *common, "--horizon", horizon])
+                    lines.append(["subsidies", *common, "--through", horizon,
+                                  "--include-post2030"])
+                for allocation in ("chronological", "uniform"):
+                    for budget in ("0", "100", "308", "2000"):
+                        lines.append(["support", *common, "--budget", budget,
+                                      "--allocation", allocation])
+        for horizon in HORIZONS:
+            lines.append(["sweep", "--format", fmt, "--horizon", horizon])
+        for year in ("2030", "2040", "2050"):
+            for exclude in ("true", "false"):
+                lines.append(["ambition", "--year", year, "--exclude-outliers",
+                              exclude, "--format", fmt])
+        for vintages in ((2021, 2022), (2022, 2023), (2021, 2023), (2021, 2022, 2023)):
+            for target in ("2021", "2022", "2023"):
+                lines.append(["track", "--snapshots",
+                              ",".join(SNAPS[v] for v in vintages),
+                              "--target-year", target, "--format", fmt])
+    return lines + ERROR_LINES
+
+
+ERROR_LINES = [
+    # bad rows (exit 3) and bad files (exit 2), one input CSV at a time
+    ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/snap_bad_rows.csv", "--target-year", "2021",
+     "--vintages", "2021,2022"],
+    ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/snap_missing_column.csv",
+     "--target-year", "2021", "--vintages", "2021,2022"],
+    ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/snap_latin1.csv", "--target-year", "2021",
+     "--vintages", "2021,2023"],
+    ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]},<TMP>/snap2023_bom.csv",
+     "--target-year", "2022"],
+    ["ambition", "--snapshot", "<TMP>/snap_bad_rows.csv"],
+    ["ambition", "--snapshot", "<TMP>/snap2023_bom.csv"],
+    ["ambition", "--scenarios-file", "<TMP>/reqs_bad_rows.csv"],
+    ["ambition", "--scenarios-file", "<TMP>/reqs_missing_column.csv"],
+    ["ambition", "--scenarios-file", "<TMP>/reqs_bom.csv", "--year", "2050"],
+    *(["lcoh", "--pipeline", f"<TMP>/{name}.csv"]
+      for name in ("pipe_bad_rows", "pipe_nan", "pipe_inf", "pipe_negative",
+                   "pipe_zero_base", "pipe_nan_base", "pipe_one_row",
+                   "pipe_missing_column", "pipe_bom")),
+    ["subsidies", "--pipeline", "<TMP>/pipe_negative.csv"],
+    # parameter files
+    *(["lcoh", "--params", f"<TMP>/{name}.json"]
+      for name in ("params_bom", "params_not_json", "params_missing_key", "params_nan",
+                   "params_late_anchor", "params_negative_fom",
+                   "params_negative_transport", "params_negative_intensity",
+                   "params_negative_electricity", "params_negative_gas",
+                   "params_negative_co2", "params_zero_prices",
+                   "params_dict_scenario", "params_number_scenario")),
+    ["gap", "--carbon-pricing", "on", "--params", "<TMP>/params_negative_co2.json"],
+    ["subsidies", "--params", "<TMP>/params_dict_scenario.json"],
+    ["support", "--budget", "308", "--params", "<TMP>/params_zero_prices.json"],
+    ["lcoh", "--params", "<TMP>/absent.json"],
+    # flag errors
+    [],
+    ["bogus"],
+    ["lcoh", "--scenario", "bogus"],
+    ["lcoh", "--horizon", "2023"],
+    ["lcoh", "--horizon", "2101"],
+    ["lcoh", "--horizon", "soon"],
+    ["subsidies", "--through", "2101"],
+    ["support"],
+    ["support", "--budget", "nan"],
+    ["support", "--budget", "-1"],
+    ["support", "--budget", "lots"],
+    ["lcoh", "--policy-mt", "inf"],
+    ["sweep", "--params", "<TMP>/params_bom.json"],
+    ["lcoh", "--out", "<TMP>/blocker/out"],
+    ["track", "--snapshots", SNAPS[2021], "--target-year", "2021"],
+    ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]}", "--target-year", "2024"],
+    ["track", "--snapshots", f"{SNAPS[2022]},{SNAPS[2021]}", "--target-year", "2021"],
+    ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]}", "--target-year", "2021",
+     "--vintages", "2021"],
+    ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]}", "--target-year", "2021",
+     "--vintages", "x,y"],
+    ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/absent.csv", "--target-year", "2021",
+     "--vintages", "2021,2022"],
+    ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/nodigits.csv", "--target-year", "2021"],
+    ["ambition", "--year", "2035"],
+    ["ambition", "--snapshot", "<TMP>/absent.csv"],
+]
+
+
+def _digest(argv: list[str], tmp: Path) -> str:
+    """Run one grid line with ``<TMP>`` inputs under ``tmp``; sha256 of what it produced."""
+    out = tmp / "out"
+    places = {"<TMP>": str(tmp), "<DATA>": str(fixtures.data_dir())}
+    full = []
+    for arg in argv:
+        for mark, path in places.items():
+            arg = arg.replace(mark, path)
+        full.append(arg)
+    if argv and "--out" not in argv:
+        full += ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(full)
+    h = hashlib.sha256(f"exit {code}\n".encode())
+    for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+        for mark, path in places.items():
+            text = text.replace(path, mark)
+        h.update(f"{name} {len(text)}\n{text}".encode())
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            h.update(f"file {path.name} {len(data)}\n".encode() + data)
+        shutil.rmtree(out)
+    return h.hexdigest()
+
+
+def _platform() -> dict[str, str]:
+    return {"python": "%d.%d" % sys.version_info[:2], "machine": platform.machine()}
+
+
+def digests(tmp: Path) -> dict[str, str]:
+    """Digest of every grid line, keyed by its argv; the input files go under ``tmp``."""
+    for name, data in INPUTS.items():
+        (tmp / name).write_bytes(data)
+    return {" ".join(argv): _digest(argv, tmp) for argv in _grid()}
+
+
+def record(tmp: Path) -> dict:
+    return {**_platform(), "digests": digests(tmp)}
+
+
+def test_report_bytes_match_the_golden_corpus(tmp_path, monkeypatch):
+    monkeypatch.delenv(fixtures.ENV_DATA_DIR, raising=False)
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
+    recorded = json.loads(DIGEST_FILE.read_text())
+    for field, value in _platform().items():
+        assert recorded[field] == value, (
+            f"the golden digests were recorded on {field} {recorded[field]}, "
+            f"this run is on {value}: float bits may differ here, so run the "
+            f"corpus on the recorded platform or record one for this platform "
+            f"with tests/golden/regen.py")
+    old, current = recorded["digests"], digests(tmp_path)
+    changed = [key for key in {**old, **current} if old.get(key) != current.get(key)]
+    assert not changed, (f"{len(changed)} of {len(current)} command lines changed:\n"
+                         + "\n".join(changed))

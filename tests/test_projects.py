@@ -9,7 +9,6 @@ from h2gap import (
     ProjectRecord,
     Snapshot,
     Status,
-    distribute_confidential,
     fate_rates,
     fixtures,
     implementation_gap,
@@ -31,10 +30,10 @@ HEADER = "ref_id,name,country,region,status,launch_year,capacity_mw_el,confident
 
 
 def _rec(ref, status=Status.CONCEPT, launch=2022, cap=100.0, region="Europe",
-         confidential=False, synthetic=False):
+         confidential=False):
     return ProjectRecord(ref_id=ref, name=ref, country="DEU", region=region,
                          status=status, launch_year=launch, capacity_mw=cap,
-                         confidential=confidential, synthetic=synthetic)
+                         confidential=confidential)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,6 @@ def test_records_hash_and_compare_by_value():
     assert a == b and a is not b
     assert hash(a) == hash(b)
     assert len({a, b, _rec("A", cap=60.0)}) == 2
-    assert a != _rec("A", cap=50.0, synthetic=True)
 
 
 def test_result_types_are_immutable_named_tuples(snapshots):
@@ -290,75 +288,32 @@ def test_result_types_are_immutable_named_tuples(snapshots):
 
 
 def test_record_pickle_round_trip():
-    rec = _rec("A", status=Status.DEMO, launch=None, confidential=True)
+    rec = _rec("A", status=Status.DEMO, launch=2031, confidential=True)
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and type(back) is ProjectRecord
     assert repr(back) == repr(rec)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
-def test_every_construction_path_validates_capacity(bad):
+@pytest.mark.parametrize("field, bad, message", [
+    pytest.param("capacity_mw", float("nan"), "positive and finite", id="nan"),
+    pytest.param("capacity_mw", float("inf"), "positive and finite", id="inf"),
+    pytest.param("capacity_mw", 0.0, "positive and finite", id="0.0"),
+    pytest.param("capacity_mw", None, "positive and finite", id="None"),
+    pytest.param("launch_year", None, "launch year is required", id="no-launch-year"),
+])
+def test_every_construction_path_validates_capacity(field, bad, message):
+    # a record has the one shape load_snapshot keeps: a launch year and a
+    # positive finite capacity
     rec = _rec("A")
-    values = tuple(rec)[:6] + (bad,) + tuple(rec)[7:]
-    for build in (lambda: rec._replace(capacity_mw=bad),
+    values = tuple({**rec._asdict(), field: bad}.values())
+    for build in (lambda: rec._replace(**{field: bad}),
                   lambda: ProjectRecord._make(values),
                   lambda: ProjectRecord(*values),
                   # a record forged past __new__ is checked when unpickled
                   lambda: pickle.loads(pickle.dumps(
                       tuple.__new__(ProjectRecord, values)))):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=message):
             build()
-    assert rec._replace(capacity_mw=None).capacity_mw is None
-
-
-# ---------------------------------------------------------------------------
-# Confidential distribution
-# ---------------------------------------------------------------------------
-
-def test_confidential_split_pro_rata_to_regions():
-    snap = Snapshot(2023, [
-        _rec("A", cap=6000.0, region="Europe"),
-        _rec("B", cap=4000.0, region="Oceania"),
-        _rec("X", cap=1000.0, region="Middle East", confidential=True),
-    ])
-    out = distribute_confidential(snap)
-    by_region = {}
-    for r in out.records:
-        by_region.setdefault(r.region, 0.0)
-        by_region[r.region] += r.capacity_mw
-    assert by_region["Europe"] == pytest.approx(6600.0)
-    assert by_region["Oceania"] == pytest.approx(4400.0)
-    assert "Middle East" not in by_region
-    assert out.total_capacity_mw() == pytest.approx(snap.total_capacity_mw(), abs=1e-6)
-    assert all(r.synthetic for r in out.records if r.ref_id.startswith("X::"))
-
-
-def test_no_confidential_is_identity(snapshots):
-    snap = snapshots[0]
-    assert distribute_confidential(snap) is snap
-
-
-def test_single_region_receives_everything():
-    snap = Snapshot(2023, [
-        _rec("A", cap=500.0, region="Europe"),
-        _rec("X", cap=300.0, region="Europe", confidential=True),
-    ])
-    out = distribute_confidential(snap)
-    assert out.total_capacity_mw() == pytest.approx(800.0)
-    assert {r.region for r in out.records} == {"Europe"}
-
-
-def test_all_confidential_is_error():
-    snap = Snapshot(2023, [_rec("X", cap=300.0, confidential=True)])
-    with pytest.raises(ValueError, match="non-confidential"):
-        distribute_confidential(snap)
-
-
-def test_bundled_2023_distribution_preserves_total(snapshots):
-    snap = snapshots[2]
-    out = distribute_confidential(snap)
-    assert out.total_capacity_mw() == pytest.approx(snap.total_capacity_mw(), abs=1e-6)
-    assert any(r.synthetic for r in out.records)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +378,6 @@ def test_early_realisation_counts_as_success_with_flag():
     (fate,) = track(earlier, earlier, final, 2022).fates
     assert fate.fate is Fate.SUCCESS
     assert fate.early
-
-
-def test_synthetic_records_are_not_tracked():
-    earlier = Snapshot(2021, [_rec("A", cap=100.0),
-                              _rec("X::Europe", cap=50.0, synthetic=True)])
-    final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, launch=2022)])
-    report = track(earlier, earlier, final, 2022)
-    assert len(report.fates) == 1
-    assert report.announced_mw == pytest.approx(100.0)
 
 
 def test_tracking_is_order_invariant(snapshots):

@@ -25,8 +25,7 @@ from h2gap.cli import main
 # Per kind: the command line that reads the file, the bundled file, and its
 # bad rows. ``{name}`` is a free-text field, or one the loader ignores, which
 # may span two lines; ``{i}`` keeps keys apart. A duplicate key is made by
-# copying a bundled row below itself. A nan or inf pipeline addition is not a
-# row error: the trajectory rejects it for the whole file.
+# copying a bundled row below itself.
 KINDS = {
     "snapshot": (["ambition", "--snapshot"], "snap2023.csv", [
         "ZZ-{i},{name},DEU,Europe,Concept,20x5,10,false,",     # non-numeric year
@@ -44,6 +43,9 @@ KINDS = {
     "pipeline": (["lcoh", "--pipeline"], "pipeline_additions.csv", [
         "20x{i},5.0,{name}",
         "204{i},lots,{name}",
+        "205{i},nan,{name}",                                    # non-finite addition
+        "206{i},inf,{name}",
+        "207{i},-1,{name}",                                     # negative addition
     ]),
 }
 
