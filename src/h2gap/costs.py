@@ -21,6 +21,12 @@ is kept cheap without changing a bit of its result: the records it returns
 (:class:`InvestmentCosts`, :class:`LCOHBreakdown`) are named tuples built
 positionally, a :class:`ParamSet` computes the terms that depend only on
 itself once when it is built, and series lookups are memoised by year.
+
+Each :class:`ParamSet` also memoises :func:`lcoh` in a private dict keyed on
+``(year, C_t, C_base)``. With the set fixed, the year and the learning ratio
+``C_t / C_base`` determine the whole breakdown, and demand-side support does
+not enter it, so trajectories that share those values share entries. The
+records are immutable, and an error is never stored.
 """
 
 from __future__ import annotations
@@ -140,6 +146,12 @@ class ParamSet:
 
     All prices in 2023US$. Efficiency is the LHV electrolyser efficiency;
     capacity always denotes the electrical input capacity of the electrolyser.
+
+    A set carries two private attributes that are not fields (``fields()``,
+    ``repr`` and ``==`` ignore them): ``_lcoh_constants``, the terms of
+    :func:`lcoh` that depend on the set alone, and ``_lcoh_memo``, the
+    :func:`lcoh` results keyed on (year, cumulative capacity, base capacity).
+    ``dataclasses.replace`` recomputes the first and starts the second empty.
     """
 
     scenario_id: str
@@ -204,6 +216,10 @@ class ParamSet:
             math.log2(1.0 - self.learning_rate_bop),
             annuity_factor(self.cost_of_capital, self.payback_period),
         ))
+        # lcoh's results, keyed on (year, cumulative capacity, base capacity):
+        # with the set, these fix the learning ratio and so the whole
+        # breakdown. Not a field either, and replace() starts an empty one.
+        object.__setattr__(self, "_lcoh_memo", {})
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ParamSet":
@@ -391,6 +407,10 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     year = int(year)
     if year < 2024:
         raise ValueError(f"LCOH is defined from 2024 onwards, got {year}")
+    key = (year, trajectory.cumulative(year), trajectory.base_capacity_gw)
+    breakdown = params._lcoh_memo.get(key)
+    if breakdown is not None:
+        return breakdown
     inv = investment_costs(year, trajectory, params)
     eta = params.efficiency.at(year)
     a_bop = params._lcoh_constants[4]
@@ -399,6 +419,8 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     # $/kW / (h/yr) = $/kWh -> *1000 to $/MWh (electrical), /eta to $/MWh H2
     bop_cap = (a_bop + params.fom_share) * inv.balance_of_plant / flh * 1000.0 / eta
     stack_cap = (a_stack + params.fom_share) * inv.stack / flh * 1000.0 / eta
-    return LCOHBreakdown(year, params.electricity_price.at(year) / eta, stack_cap,
-                         bop_cap, params.transport_storage, eta, flh, inv.stack,
-                         inv.balance_of_plant, a_stack, a_bop)
+    breakdown = LCOHBreakdown(year, params.electricity_price.at(year) / eta,
+                              stack_cap, bop_cap, params.transport_storage, eta,
+                              flh, inv.stack, inv.balance_of_plant, a_stack, a_bop)
+    params._lcoh_memo[key] = breakdown
+    return breakdown

@@ -408,6 +408,77 @@ def test_replace_recomputes_the_per_set_constants(pipeline_traj, central):
             == _per_call_lcoh(year, pipeline_traj, slow)[0]
 
 
+# ---------------------------------------------------------------------------
+# The per-set LCOH memo
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [("bundled", "extended"), ("extended", "bundled")])
+def test_memoised_lcoh_equals_per_call_formulas_in_either_order(order):
+    # the two trajectories share their learning states up to the pipeline's
+    # last build year, so the second one is served partly from the memo
+    trajs = {"bundled": fixtures.builtin_pipeline(),
+             "extended": fixtures.median_extended_pipeline(2100)}
+    params = ParamSet.builtin("central")
+    for name in order:
+        traj = trajs[name]
+        for year in range(2024, 2101):
+            b = lcoh(year, traj, params)
+            assert b == _per_call_lcoh(year, traj, params)[0], (name, year)
+            assert lcoh(year, traj, params) is b
+
+
+def test_memo_keys_on_the_base_capacity(pipeline_traj):
+    params = ParamSet.builtin("central")
+    adds = {y: pipeline_traj.addition(y) for y in pipeline_traj.build_years}
+    doubled = CapacityTrajectory(pipeline_traj.base_year,
+                                 2 * pipeline_traj.base_capacity_gw, adds)
+    b = lcoh(2030, pipeline_traj, params)
+    other = lcoh(2030, doubled, params)
+    assert len(params._lcoh_memo) == 2
+    assert other != b
+    assert other == _per_call_lcoh(2030, doubled, params)[0]
+    # the same cumulative capacity on a different base is another learning ratio
+    small = CapacityTrajectory(2023, 1.0, {2024: 3.0})
+    large = CapacityTrajectory(2023, 2.0, {2024: 2.0})
+    assert small.cumulative(2030) == large.cumulative(2030)
+    for traj in (small, large):
+        assert lcoh(2030, traj, params) == _per_call_lcoh(2030, traj, params)[0]
+    assert len(params._lcoh_memo) == 4
+
+
+def test_replace_starts_an_empty_memo(pipeline_traj):
+    params = ParamSet.builtin("central")
+    lcoh(2030, pipeline_traj, params)
+    assert len(params._lcoh_memo) == 1
+    assert dataclasses.replace(params)._lcoh_memo == {}
+    assert dataclasses.replace(params, full_load_hours=4000.0)._lcoh_memo == {}
+
+
+def test_errors_raise_on_every_call_and_are_never_stored(pipeline_traj):
+    params = ParamSet.builtin("central")
+    late = CapacityTrajectory(2030, 10.0, {2031: 1.0})
+    with pytest.raises(ValueError) as direct:
+        investment_costs(2025, late, params)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="defined from 2024 onwards, got 2023"):
+            lcoh(2023, pipeline_traj, params)
+        with pytest.raises(ValueError) as before_base:
+            lcoh(2025, late, params)
+        assert str(before_base.value) == str(direct.value) \
+            == "year 2025 is before the base year 2030"
+    assert params._lcoh_memo == {}
+
+
+def test_memo_is_not_a_field(pipeline_traj):
+    params = ParamSet.builtin("central")
+    untouched = dataclasses.replace(params)
+    lcoh(2030, pipeline_traj, params)
+    assert "_lcoh_memo" not in {f.name for f in dataclasses.fields(params)}
+    assert "_lcoh_memo" not in repr(params)
+    assert repr(params) == repr(untouched)
+    assert params == untouched and hash(params) == hash(untouched)
+
+
 def test_cost_records_are_named_tuples(pipeline_traj, central):
     inv = investment_costs(2030, pipeline_traj, central)
     assert inv == tuple(inv) and inv._fields == (

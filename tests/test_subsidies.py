@@ -258,6 +258,32 @@ def test_schedule_lcoh_and_payment_year_counts(central, pipeline_traj, monkeypat
     assert counts == {"lcoh": lcoh_calls, "annual_subsidies": payment_years}
 
 
+@pytest.mark.parametrize("carbon", [False, True])
+@pytest.mark.parametrize("horizon, learning_states", [(2045, 22), (2100, 27)])
+def test_schedule_computes_each_learning_state_once(central, pipeline_traj, monkeypatch,
+                                                    horizon, learning_states, carbon):
+    # lcoh computes investment costs only on a miss of the parameter set's
+    # memo: once per distinct (year, cumulative capacity) of the schedule,
+    # and not at all when the same schedule is asked for again
+    import h2gap.costs
+    misses = []
+    compute = h2gap.costs.investment_costs
+
+    def counting(*args):
+        misses.append(args[0])
+        return compute(*args)
+
+    monkeypatch.setattr(h2gap.costs, "investment_costs", counting)
+    params = ParamSet.builtin("central")        # its memo is empty
+    supported = demand_supported_additions(central, pipeline_traj)
+    traj = fixtures.median_extended_pipeline(horizon).with_supported(supported)
+    cumulative_subsidies(traj, params, carbon, horizon)
+    assert len(misses) == len(set(misses)) == learning_states
+    misses.clear()
+    cumulative_subsidies(traj, params, carbon, horizon)
+    assert misses == []
+
+
 # ---------------------------------------------------------------------------
 # Brute-force per-cohort ledger oracle
 # ---------------------------------------------------------------------------
