@@ -27,10 +27,9 @@ _EXPORTS = {
         "TimeAnchoredSeries", "annuity_factor", "investment_costs", "lcoh",
     ),
     "projects": (
-        "CapacitySeries", "Fate", "FateRates", "ProjectRecord", "SankeyData",
-        "Snapshot", "Status", "TransitionReport", "fate_rates",
-        "implementation_gap", "load_snapshot", "pipeline", "sankey_flows",
-        "track",
+        "Fate", "FateRates", "ProjectRecord", "SankeyData", "Snapshot",
+        "Status", "TransitionReport", "fate_rates", "load_snapshot",
+        "pipeline_gw", "sankey_flows", "track",
     ),
     "scenarios": (
         "RequirementStats", "ScenarioRequirement", "ambition_gap",

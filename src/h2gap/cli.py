@@ -16,6 +16,10 @@ Common flags: ``--params FILE``, ``--scenario``, ``--carbon-pricing on|off``,
 for anything not supplied; ``H2GAP_DATA_DIR`` points all defaults somewhere
 else.
 
+``track`` takes two or more snapshots, oldest first: the first gives the
+target-year cohort, the last judges its fate, and every file is one Sankey
+stage.
+
 Exit codes: 0 on success; 2 for usage, configuration and file/schema
 problems; 3 for data-validation failures in otherwise well-formed inputs
 (bad row values are reported with line numbers) and for a report value that
@@ -106,10 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", required=True,
                    help="comma-separated snapshot CSVs, oldest first. The "
                         "first gives the cohort, the last its fate, every "
-                        "file a Sankey stage. The second is the 'later' "
-                        "vintage: it sets only the cohort's revised "
-                        "expectation, which no report file holds (with two "
-                        "files the first serves)")
+                        "file a Sankey stage")
     p.add_argument("--target-year", type=int, required=True)
     p.add_argument("--vintages",
                    help="comma-separated vintage years (default: from file names)")
@@ -266,14 +267,13 @@ def cmd_track(args):
     for snap, path in zip(snaps, paths):
         _print_load_report(path, snap)
 
-    report = track(snaps[0], snaps[1] if len(snaps) > 2 else snaps[0],
-                   snaps[-1], args.target_year)
-    rates = fate_rates(report, by_status=True)
+    report = track(snaps, args.target_year)
+    rates = fate_rates(report)
     sankey = sankey_flows(snaps, args.target_year)
 
     rate_rows = [{"group": "total", **rates.total._asdict()}]
     rate_rows += [{"group": status.value, **shares._asdict()}
-                  for status, shares in (rates.by_status or {}).items()]
+                  for status, shares in rates.by_status.items()]
     summary = [f"\ncohort {args.target_year}: announced "
                f"{report.announced_mw / 1000.0:.3f} GW (vintage "
                f"{report.earlier_vintage}), realised on time "
@@ -308,7 +308,7 @@ def _print_load_report(path, snap) -> None:
 
 def cmd_ambition(args):
     from . import fixtures
-    from .projects import load_snapshot, pipeline
+    from .projects import load_snapshot, pipeline_gw
     from .scenarios import ambition_gap, stats
 
     reqs = _load_requirements(args)
@@ -322,7 +322,7 @@ def cmd_ambition(args):
                               "snapshot")
     snap = load_snapshot(snap_path, _vintage(snap_path) or 0)
     _print_load_report(snap_path, snap)
-    pipe_gw = pipeline(snap, args.year).cumulative_total(args.year)
+    pipe_gw = pipeline_gw(snap, args.year)
 
     stat_rows = [{"year": st.year, "n": st.n, "min_gw": st.minimum,
                   "q1_gw": st.q1, "median_gw": st.median, "q3_gw": st.q3,

@@ -132,12 +132,16 @@ def annuity_factor(rate: float, years: float) -> float:
     return rate / (1.0 - (1.0 + rate) ** (-years))
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):   # JSON true/false, which float() reads as 1.0/0.0
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _series(obj) -> TimeAnchoredSeries:
-    if isinstance(obj, TimeAnchoredSeries):
-        return obj
     if not isinstance(obj, Mapping):
         raise ValueError(f"expected a mapping of year to value, got {obj!r}")
-    return TimeAnchoredSeries({int(k): float(v) for k, v in obj.items()})
+    return TimeAnchoredSeries({int(k): _number(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -223,29 +227,38 @@ class ParamSet:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ParamSet":
+        """A set from a parameter file's JSON object; a bad value's error names its key."""
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"parameter file must be a JSON object, got "
+                             f"{type(raw).__name__}")
+
+        def get(key: str, convert=_number):
+            try:
+                return convert(raw[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+
         try:
             return cls(
                 scenario_id=raw["scenario_id"],
-                investment_2023=float(raw["investment_2023_usd_per_kw"]),
-                stack_share_2023=float(raw["stack_share_2023"]),
-                learning_rate_stack=float(raw["learning_rate_stack"]),
-                learning_rate_bop=float(raw["learning_rate_bop"]),
-                stack_lifetime=_series(raw["stack_lifetime_yr"]),
-                payback_period=float(raw["payback_period_yr"]),
-                full_load_hours=float(raw["full_load_hours"]),
-                cost_of_capital=float(raw["cost_of_capital"]),
-                efficiency=_series(raw["efficiency_lhv"]),
-                fom_share=float(raw["fom_share_per_yr"]),
-                transport_storage=float(raw["transport_storage_usd_per_mwh"]),
-                electricity_price=_series(raw["electricity_usd_per_mwh"]),
-                gas_price=_series(raw["gas_usd_per_mwh"]),
-                co2_price=_series(raw["co2_usd_per_t"]),
-                emission_intensity=float(raw["gas_emission_intensity_t_per_mwh"]),
+                investment_2023=get("investment_2023_usd_per_kw"),
+                stack_share_2023=get("stack_share_2023"),
+                learning_rate_stack=get("learning_rate_stack"),
+                learning_rate_bop=get("learning_rate_bop"),
+                stack_lifetime=get("stack_lifetime_yr", _series),
+                payback_period=get("payback_period_yr"),
+                full_load_hours=get("full_load_hours"),
+                cost_of_capital=get("cost_of_capital"),
+                efficiency=get("efficiency_lhv", _series),
+                fom_share=get("fom_share_per_yr"),
+                transport_storage=get("transport_storage_usd_per_mwh"),
+                electricity_price=get("electricity_usd_per_mwh", _series),
+                gas_price=get("gas_usd_per_mwh", _series),
+                co2_price=get("co2_usd_per_t", _series),
+                emission_intensity=get("gas_emission_intensity_t_per_mwh"),
             )
         except KeyError as exc:
             raise ValueError(f"parameter file is missing key {exc}") from None
-        except TypeError as exc:   # e.g. a number given as a list or null
-            raise ValueError(f"parameter file has a wrong-typed value: {exc}") from None
 
     @classmethod
     def from_json(cls, path) -> "ParamSet":

@@ -6,6 +6,10 @@ announcement over time and classify its fate (realised on schedule, delayed,
 or disappeared), to measure the implementation gap between announced and
 realised capacity, and to lay the flows out as a Sankey diagram.
 
+:func:`track` and :func:`sankey_flows` take the same two or more snapshots,
+oldest first: the first gives the target-year cohort, the last judges its
+fate, and each is one Sankey stage (a middle vintage enters only there).
+
 Snapshot CSV schema (read by :func:`h2gap.units.read_csv`, header required)::
 
     ref_id,name,country,region,status,launch_year,capacity_mw_el,confidential[,demo_state]
@@ -39,10 +43,9 @@ from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool, read_csv
 __all__ = [
     "Status", "Fate", "ProjectRecord", "Snapshot", "LoadReport",
     "SnapshotSchemaError", "SnapshotDataError",
-    "load_snapshot", "track", "fate_rates",
-    "implementation_gap", "pipeline", "sankey_flows",
+    "load_snapshot", "track", "fate_rates", "pipeline_gw", "sankey_flows",
     "TransitionReport", "ProjectFate", "FateRates", "FateShares",
-    "CapacitySeries", "SankeyData", "SankeyNode", "SankeyFlow",
+    "SankeyData", "SankeyNode", "SankeyFlow",
 ]
 
 
@@ -228,6 +231,21 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     return Snapshot(vintage_year, records, load_report=report)
 
 
+def pipeline_gw(snapshot: Snapshot, through_year: int) -> float:
+    """Announced capacity (GW) with a launch year up to ``through_year``.
+
+    Decommissioned records are excluded: they are no longer part of the
+    expected stock. Capacity is summed per launch year, in the order the
+    years first appear, and then across years.
+    """
+    annual: dict[int, float] = {}
+    for rec in snapshot.records:
+        if rec.launch_year <= through_year and rec.status is not Status.DECOMMISSIONED:
+            annual[rec.launch_year] = annual.get(rec.launch_year, 0.0) \
+                + rec.capacity_mw / 1000.0
+    return sum(annual.values(), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Tracking across vintages
 # ---------------------------------------------------------------------------
@@ -262,11 +280,9 @@ class ProjectFate(NamedTuple):
 class TransitionReport(NamedTuple):
     target_year: int
     earlier_vintage: int
-    later_vintage: int
     final_vintage: int
     fates: tuple[ProjectFate, ...]
     announced_mw: float          # earlier-vintage cohort total
-    later_announced_mw: float    # same cohort as expected in the middle vintage
 
     def fate_total_mw(self, fate: Fate) -> float:
         return sum(f.capacity_mw for f in self.fates if f.fate is fate)
@@ -279,13 +295,30 @@ class TransitionReport(NamedTuple):
     def realized_mw(self) -> float:
         return self.fate_total_mw(Fate.SUCCESS)
 
+    @property
+    def implementation_gap_mw(self) -> float:
+        """Announced capacity minus capacity realised on schedule, >= 0."""
+        return max(0.0, self.announced_mw - self.realized_mw)
 
-def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
-          target_year: int) -> TransitionReport:
+
+def _vintages(snapshots: Sequence[Snapshot]) -> list[int]:
+    """The vintage years of ``snapshots``, checked for what :func:`track` and
+    :func:`sankey_flows` both need: at least two vintages, oldest first."""
+    if len(snapshots) < 2:
+        raise ValueError(f"need at least two snapshots, got {len(snapshots)}")
+    vintages = [s.vintage_year for s in snapshots]
+    if any(b < a for a, b in zip(vintages, vintages[1:])):
+        raise ValueError(f"snapshot vintages must be in non-decreasing order, got "
+                         f"{', '.join(map(str, vintages))}")
+    return vintages
+
+
+def track(snapshots: Sequence[Snapshot], target_year: int) -> TransitionReport:
     """Classify the fate of every project announced for ``target_year``.
 
-    The cohort is taken from the earlier vintage (launch year equal to the
-    target year) and judged against the final vintage:
+    The cohort is taken from the first vintage (launch year equal to the
+    target year) and judged against the last one; vintages in between do not
+    enter:
 
     * success      -- present, Operational, launch year still the target year
                       (or moved earlier; flagged ``early``)
@@ -294,13 +327,10 @@ def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
     * disappeared  -- absent from the final vintage, or decommissioned
 
     Capacity changes between the two vintages are reconciled with dummy
-    adjustments so announced capacity is conserved. The middle vintage only
-    contributes the revised cohort expectation for reporting.
+    adjustments so announced capacity is conserved.
     """
-    if not (earlier.vintage_year <= later.vintage_year <= final.vintage_year):
-        raise ValueError(
-            f"snapshot vintages must be in non-decreasing order, got "
-            f"{earlier.vintage_year}, {later.vintage_year}, {final.vintage_year}")
+    _vintages(snapshots)
+    earlier, final = snapshots[0], snapshots[-1]
     if target_year > final.vintage_year:
         raise ValueError(f"target year {target_year} is after the final vintage "
                          f"{final.vintage_year}")
@@ -328,13 +358,10 @@ def track(earlier: Snapshot, later: Snapshot, final: Snapshot,
             final_status=fin.status, final_launch_year=fin.launch_year,
             operational_late=operational and late,
             early=operational and fin.launch_year < target_year))
-    later_cohort_mw = sum(r.capacity_mw for r in later.records
-                          if r.launch_year == target_year)
     return TransitionReport(
         target_year=target_year, earlier_vintage=earlier.vintage_year,
-        later_vintage=later.vintage_year, final_vintage=final.vintage_year,
-        fates=tuple(fates), announced_mw=sum(r.capacity_mw for r in cohort),
-        later_announced_mw=later_cohort_mw)
+        final_vintage=final.vintage_year, fates=tuple(fates),
+        announced_mw=sum(r.capacity_mw for r in cohort))
 
 
 class FateShares(NamedTuple):
@@ -349,7 +376,7 @@ class FateShares(NamedTuple):
 class FateRates(NamedTuple):
     target_year: int
     total: FateShares
-    by_status: Mapping[Status, FateShares] | None = None
+    by_status: Mapping[Status, FateShares]
 
 
 def _shares(fates: Sequence[ProjectFate]) -> FateShares:
@@ -366,85 +393,19 @@ def _shares(fates: Sequence[ProjectFate]) -> FateShares:
                       disappeared=by_fate[Fate.DISAPPEARED] / total)
 
 
-def fate_rates(report: TransitionReport, by_status: bool = False) -> FateRates:
-    """Capacity-weighted success/delay/disappearance shares.
+def fate_rates(report: TransitionReport) -> FateRates:
+    """Capacity-weighted success/delay/disappearance shares, in total and by
+    the status each project had in the earlier vintage.
 
-    Dummy adjustments are excluded from the denominators; grouping is by the
-    status each project had in the earlier vintage.
+    Dummy adjustments are excluded from the denominators.
     """
     if not report.fates:
         raise ValueError("transition report is empty")
-    grouped = None
-    if by_status:
-        grouped = {}
-        for status in sorted({f.status_announced for f in report.fates},
-                             key=lambda s: s.value):
-            members = [f for f in report.fates if f.status_announced is status]
-            if sum(f.capacity_mw for f in members) > 0.0:
-                grouped[status] = _shares(members)
+    statuses = sorted({f.status_announced for f in report.fates}, key=lambda s: s.value)
+    by_status = {status: _shares([f for f in report.fates if f.status_announced is status])
+                 for status in statuses}
     return FateRates(target_year=report.target_year, total=_shares(report.fates),
-                     by_status=grouped)
-
-
-def implementation_gap(earlier: Snapshot, realized_gw: float,
-                       target_year: int) -> float:
-    """Announced capacity for the target year minus realised capacity, >= 0 (GW)."""
-    announced_mw = sum(r.capacity_mw for r in earlier.records
-                       if r.launch_year == target_year)
-    return max(0.0, announced_mw / 1000.0 - realized_gw)
-
-
-# ---------------------------------------------------------------------------
-# Pipeline aggregation
-# ---------------------------------------------------------------------------
-
-class CapacitySeries(NamedTuple):
-    """Annual and cumulative announced capacity (GW), grouped."""
-    group_by: str
-    years: tuple[int, ...]
-    groups: tuple[str, ...]
-    annual_gw: Mapping[tuple[str, int], float]
-
-    def annual_total(self, year: int) -> float:
-        return sum(v for (_, y), v in self.annual_gw.items() if y == year)
-
-    def cumulative(self, group: str, through_year: int) -> float:
-        return sum(v for (g, y), v in self.annual_gw.items()
-                   if g == group and y <= through_year)
-
-    def cumulative_total(self, through_year: int | None = None) -> float:
-        if not self.years:
-            return 0.0
-        last = self.years[-1] if through_year is None else through_year
-        return sum(v for (_, y), v in self.annual_gw.items() if y <= last)
-
-
-def pipeline(snapshot: Snapshot, through_year: int,
-             group_by: str = "year") -> CapacitySeries:
-    """Announced capacity additions per launch year up to ``through_year``.
-
-    ``group_by`` is one of ``year``, ``status`` or ``region``. Cumulative
-    values include every launch year from the earliest record. Decommissioned
-    records are excluded: they are no longer part of the expected stock.
-    """
-    if group_by not in ("year", "status", "region"):
-        raise ValueError(f"group_by must be year/status/region, got {group_by!r}")
-    annual: dict[tuple[str, int], float] = {}
-    for rec in snapshot.records:
-        if rec.launch_year > through_year or rec.status is Status.DECOMMISSIONED:
-            continue
-        if group_by == "year":
-            key = str(rec.launch_year)
-        elif group_by == "status":
-            key = rec.status.value
-        else:
-            key = rec.region
-        k = (key, rec.launch_year)
-        annual[k] = annual.get(k, 0.0) + rec.capacity_mw / 1000.0
-    years = tuple(sorted({y for _, y in annual}))
-    groups = tuple(sorted({g for g, _ in annual}))
-    return CapacitySeries(group_by=group_by, years=years, groups=groups,
-                          annual_gw=annual)
+                     by_status=by_status)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +480,7 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
     are booked against ``capacity_increased`` / ``capacity_reduced`` nodes so
     that every internal status node balances exactly.
     """
-    if len(snapshots) < 2:
-        raise ValueError("need at least two snapshots for a Sankey layout")
-    vintages = [s.vintage_year for s in snapshots]
-    if any(b < a for a, b in zip(vintages, vintages[1:])):
-        raise ValueError(f"snapshots must be ordered by vintage, got {vintages}")
+    vintages = _vintages(snapshots)
 
     def cohort(snap: Snapshot) -> dict[str, ProjectRecord]:
         return {r.ref_id: r for r in snap.records if r.launch_year == target_year}

@@ -160,15 +160,15 @@ def test_c10_scenario_statistics(acceptance_check):
 
 
 def test_c11_tracking_property_suite(snapshots, acceptance_check):
-    report = track(*snapshots, target_year=2022)
+    report = track(snapshots, target_year=2022)
     conserved = abs(sum(report.fate_total_mw(f) for f in Fate)
                     + report.dummy_total_mw - report.announced_mw) <= 1e-6
-    rates = fate_rates(report, by_status=True)
+    rates = fate_rates(report)
     sums_ok = abs(sum(rates.total.as_tuple()) - 1.0) <= 1e-9 and all(
         abs(sum(s.as_tuple()) - 1.0) <= 1e-9 for s in rates.by_status.values())
     reordered = tuple(Snapshot(s.vintage_year, tuple(reversed(s.records)))
                       for s in snapshots)
-    order_ok = track(*reordered, target_year=2022) == report
+    order_ok = track(reordered, target_year=2022) == report
     shares_ok = (rates.total.success == pytest.approx(0.02)
                  and rates.total.delayed == pytest.approx(0.28)
                  and rates.total.disappeared == pytest.approx(0.70))
@@ -188,7 +188,7 @@ def test_c11_optional_real_database_rates():
     data_dir = os.environ["H2GAP_IEA_DIR"]
     snaps = [load_snapshot(os.path.join(data_dir, f"snap{v}.csv"), v)
              for v in (2021, 2022, 2023)]
-    rates = fate_rates(track(*snaps, target_year=2022), by_status=True)
+    rates = fate_rates(track(snaps, target_year=2022))
     assert rates.total.success == pytest.approx(0.02, abs=0.005)
     assert rates.total.delayed == pytest.approx(0.42, abs=0.01)
     assert rates.total.disappeared == pytest.approx(0.56, abs=0.01)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from h2gap import fixtures, track
+from h2gap import Status, fixtures, track
 from h2gap.cli import main
 
 SNAPSHOT_ARGS = ",".join(str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023))
@@ -122,7 +122,7 @@ def test_track_flag_mismatch_exits_2_before_loading(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_track_second_of_four_snapshots_is_the_later_vintage(tmp_path, monkeypatch):
+def test_track_middle_vintages_are_sankey_stages_only(tmp_path, monkeypatch):
     reports = []
 
     def recording_track(*args, **kwargs):
@@ -130,27 +130,31 @@ def test_track_second_of_four_snapshots_is_the_later_vintage(tmp_path, monkeypat
         return reports[-1]
 
     monkeypatch.setattr("h2gap.projects.track", recording_track)
-    three, four = tmp_path / "three", tmp_path / "four"
-    assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
-                 "--out", str(three)]) == 0
-    # the third file repeats the 2021 data, so taking it as the later or the
-    # final vintage would change the results below
     snap = {v: str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023)}
-    four_args = ",".join((snap[2021], snap[2022], snap[2021], snap[2023]))
-    assert main(["track", "--snapshots", four_args, "--vintages",
-                 "2021,2022,2022,2023", "--target-year", "2022",
-                 "--out", str(four)]) == 0
-    fourth = reports[-1]
-    assert (fourth.earlier_vintage, fourth.later_vintage,
-            fourth.final_vintage) == (2021, 2022, 2023)
-    assert fourth.announced_mw == 5000.0
-    assert fourth.later_announced_mw == reports[0].later_announced_mw == 3000.0
+    runs = {"two": (snap[2021], snap[2023]),
+            "three": (snap[2021], snap[2022], snap[2023]),
+            # the third file repeats the 2021 data as a second 2022 vintage
+            "four": (snap[2021], snap[2022], snap[2021], snap[2023])}
+    for name, files in runs.items():
+        vintages = {"four": ["--vintages", "2021,2022,2022,2023"]}.get(name, [])
+        assert main(["track", "--snapshots", ",".join(files), *vintages,
+                     "--target-year", "2022", "--out", str(tmp_path / name)]) == 0
+    for report in reports:
+        assert (report.earlier_vintage, report.final_vintage) == (2021, 2023)
+        assert report.announced_mw == 5000.0
+    # only the first and the last vintage decide the fate reports
     for name in ("transitions", "fate_rates"):
-        assert (four / f"{name}.csv").read_bytes() == \
-            (three / f"{name}.csv").read_bytes()
-    nodes = _read_csv(four / "sankey_nodes.csv")
+        three = (tmp_path / "three" / f"{name}.csv").read_bytes()
+        assert (tmp_path / "two" / f"{name}.csv").read_bytes() == three
+        assert (tmp_path / "four" / f"{name}.csv").read_bytes() == three
+    nodes = _read_csv(tmp_path / "four" / "sankey_nodes.csv")
     assert sorted({(int(r["stage"]), r["stage_label"]) for r in nodes}) == [
         (0, "2021"), (1, "2022"), (2, "2022"), (3, "2023"), (4, "outcome")]
+    # the 2022 vintage's expectation of the cohort is its stage's status nodes
+    statuses = {status.value for status in Status}
+    stage1 = sum(float(r["capacity_gw"]) for r in nodes
+                 if r["stage"] == "1" and r["node"] in statuses)
+    assert stage1 * 1000.0 == pytest.approx(3000.0)
 
 
 def test_track_json_and_csv_carry_identical_values(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import pytest
 
@@ -200,6 +202,31 @@ def test_sensitivity_sets_inside_published_ranges(central, progressive, conserva
 def test_from_dict_missing_key():
     with pytest.raises(ValueError, match="missing key"):
         ParamSet.from_dict({"scenario_id": "x"})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("full_load_hours", True, "expected a number, got True"),
+    ("cost_of_capital", False, "expected a number, got False"),
+    ("payback_period_yr", "abc", "could not convert string to float: 'abc'"),
+    ("fom_share_per_yr", None, "float() argument must be"),
+    ("gas_usd_per_mwh", {"2024": True}, "expected a number, got True"),
+    ("efficiency_lhv", {"2024": "abc"}, "could not convert string to float: 'abc'"),
+    ("gas_usd_per_mwh", {"20x4": 20.0}, "invalid literal for int() with base 10: '20x4'"),
+    ("co2_usd_per_t", {}, "series needs at least one anchor"),
+    ("stack_lifetime_yr", 10, "expected a mapping of year to value, got 10"),
+    ("full_load_hours", 10 ** 400, "int too large to convert to float"),
+], ids=["bool", "false", "string", "null", "series-bool", "series-value",
+        "series-key", "series-empty", "series-number", "huge-int"])
+def test_from_dict_errors_name_the_key(key, value, message):
+    raw = json.loads(fixtures.params_path("central").read_text())
+    with pytest.raises(ValueError, match=f"^{key}: {re.escape(message)}"):
+        ParamSet.from_dict({**raw, key: value})
+
+
+@pytest.mark.parametrize("raw", [[], "central", 1, None])
+def test_from_dict_needs_an_object(raw):
+    with pytest.raises(ValueError, match="parameter file must be a JSON object"):
+        ParamSet.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------

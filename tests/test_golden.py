@@ -94,6 +94,10 @@ INPUTS = {
                                        co2_usd_per_t={"2024": 0}),
     "params_dict_scenario.json": _params(scenario_id={"a": 1}),
     "params_number_scenario.json": _params(scenario_id=7),
+    "params_boolean.json": _params(full_load_hours=True),
+    "params_series_value.json": _params(efficiency_lhv={"2024": "abc"}),
+    "params_series_key.json": _params(gas_usd_per_mwh={"20x4": 20.0}),
+    "params_list.json": json.dumps([json.loads(_bundled("params_central.json"))]).encode(),
     "blocker": b"",
 }
 
@@ -161,7 +165,9 @@ ERROR_LINES = [
                    "params_negative_transport", "params_negative_intensity",
                    "params_negative_electricity", "params_negative_gas",
                    "params_negative_co2", "params_zero_prices",
-                   "params_dict_scenario", "params_number_scenario")),
+                   "params_dict_scenario", "params_number_scenario",
+                   "params_boolean", "params_series_value", "params_series_key",
+                   "params_list")),
     ["gap", "--carbon-pricing", "on", "--params", "<TMP>/params_negative_co2.json"],
     ["subsidies", "--params", "<TMP>/params_dict_scenario.json"],
     ["support", "--budget", "308", "--params", "<TMP>/params_zero_prices.json"],

@@ -58,7 +58,7 @@ def test_star_import_gives_every_export_from_its_module():
     namespace = {}
     exec("from h2gap import *", namespace)
     exported = {name for name in namespace if name != "__builtins__"}
-    assert exported == set(h2gap.__all__) and len(exported) == 41
+    assert exported == set(h2gap.__all__) and len(exported) == 39
     for name in exported:
         module = sys.modules[f"h2gap.{h2gap._MODULE_OF[name]}"]
         assert namespace[name] is getattr(module, name)

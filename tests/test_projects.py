@@ -11,9 +11,8 @@ from h2gap import (
     Status,
     fate_rates,
     fixtures,
-    implementation_gap,
     load_snapshot,
-    pipeline,
+    pipeline_gw,
     sankey_flows,
     track,
 )
@@ -273,13 +272,12 @@ def test_records_hash_and_compare_by_value():
 
 
 def test_result_types_are_immutable_named_tuples(snapshots):
-    report = track(*snapshots, 2022)
-    rates = fate_rates(report, by_status=True)
+    report = track(snapshots, 2022)
+    rates = fate_rates(report)
     sankey = sankey_flows(snapshots, 2022)
     results = (snapshots[0].load_report, report, report.fates[0], rates,
-               rates.total, pipeline(snapshots[2], 2030), sankey,
-               sankey.nodes[0], sankey.flows[0])
-    assert len({type(r) for r in results}) == 9
+               rates.total, sankey, sankey.nodes[0], sankey.flows[0])
+    assert len({type(r) for r in results}) == 8
     for result in results:
         assert result == tuple(result) and result._replace() == result
         with pytest.raises(AttributeError):
@@ -321,9 +319,11 @@ def test_every_construction_path_validates_capacity(field, bad, message):
 # ---------------------------------------------------------------------------
 
 def test_bundled_cohort_fates(snapshots):
-    report = track(*snapshots, target_year=2022)
+    report = track(snapshots, target_year=2022)
     assert report.announced_mw == pytest.approx(5000.0)
-    assert report.later_announced_mw == pytest.approx(3000.0)
+    # the middle vintage's expectation of the cohort is its Sankey stage
+    assert sankey_flows(snapshots, 2022).stage_total_gw(1) * 1000.0 \
+        == pytest.approx(3000.0)
     assert report.realized_mw == pytest.approx(100.0)
     assert report.fate_total_mw(Fate.DELAYED) == pytest.approx(1400.0)
     assert report.fate_total_mw(Fate.DISAPPEARED) == pytest.approx(3500.0)
@@ -336,7 +336,7 @@ def test_bundled_cohort_fates(snapshots):
 
 
 def test_capacity_conservation_with_dummies(snapshots):
-    report = track(*snapshots, target_year=2022)
+    report = track(snapshots, target_year=2022)
     total = sum(report.fate_total_mw(f) for f in Fate) + report.dummy_total_mw
     assert total == pytest.approx(report.announced_mw, abs=1e-6)
 
@@ -344,7 +344,7 @@ def test_capacity_conservation_with_dummies(snapshots):
 def test_dummy_adjustment_for_revised_capacity():
     earlier = Snapshot(2021, [_rec("A", cap=400.0)])
     final = Snapshot(2023, [_rec("A", cap=300.0, launch=2024)])
-    report = track(earlier, earlier, final, 2022)
+    report = track([earlier, final], 2022)
     (fate,) = report.fates
     assert fate.fate is Fate.DELAYED
     assert fate.capacity_mw == pytest.approx(300.0)
@@ -359,7 +359,7 @@ def test_self_comparison_has_no_disappearances():
         _rec("B", status=Status.CONCEPT, launch=2022, cap=20.0),
         _rec("C", status=Status.FID_CONSTRUCTION, launch=2022, cap=30.0),
     ])
-    report = track(snap, snap, snap, 2022)
+    report = track([snap, snap], 2022)
     fates = {f.ref_id: f.fate for f in report.fates}
     assert fates == {"A": Fate.SUCCESS, "B": Fate.DELAYED, "C": Fate.DELAYED}
 
@@ -367,7 +367,7 @@ def test_self_comparison_has_no_disappearances():
 def test_operational_late_is_delayed_but_flagged():
     earlier = Snapshot(2021, [_rec("A", cap=100.0)])
     final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, launch=2023)])
-    (fate,) = track(earlier, earlier, final, 2022).fates
+    (fate,) = track([earlier, final], 2022).fates
     assert fate.fate is Fate.DELAYED
     assert fate.operational_late
 
@@ -375,7 +375,7 @@ def test_operational_late_is_delayed_but_flagged():
 def test_early_realisation_counts_as_success_with_flag():
     earlier = Snapshot(2021, [_rec("A", cap=100.0)])
     final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, launch=2021)])
-    (fate,) = track(earlier, earlier, final, 2022).fates
+    (fate,) = track([earlier, final], 2022).fates
     assert fate.fate is Fate.SUCCESS
     assert fate.early
 
@@ -383,16 +383,38 @@ def test_early_realisation_counts_as_success_with_flag():
 def test_tracking_is_order_invariant(snapshots):
     reordered = tuple(Snapshot(s.vintage_year, tuple(reversed(s.records)))
                       for s in snapshots)
-    assert track(*snapshots, target_year=2022) \
-        == track(*reordered, target_year=2022)
+    assert track(snapshots, target_year=2022) \
+        == track(reordered, target_year=2022)
 
 
 def test_vintage_ordering_enforced(snapshots):
     s21, s22, s23 = snapshots
     with pytest.raises(ValueError, match="non-decreasing"):
-        track(s23, s22, s21, 2022)
+        track([s23, s22, s21], 2022)
     with pytest.raises(ValueError, match="after the final vintage"):
-        track(s21, s22, s23, 2030)
+        track([s21, s22, s23], 2030)
+
+
+@pytest.mark.parametrize("build", [track, sankey_flows], ids=["track", "sankey"])
+def test_track_and_sankey_take_the_same_vintages(snapshots, build):
+    s21, s22, s23 = snapshots
+    with pytest.raises(ValueError, match="non-decreasing order, got 2023, 2022, 2021"):
+        build([s23, s22, s21], 2022)
+    with pytest.raises(ValueError, match="at least two snapshots"):
+        build([s21], 2022)
+    build([s21, s21, s23], 2022)     # a repeated vintage is in order
+
+
+def test_middle_vintages_do_not_judge_fates(snapshots):
+    s21, s22, s23 = snapshots
+    assert track([s21, s23], 2022) == track([s21, s22, s23], 2022)
+    # absent from the middle vintage, operational on time in the last one
+    earlier = Snapshot(2021, [_rec("A", cap=100.0)])
+    final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, cap=100.0)])
+    report = track([earlier, Snapshot(2022, []), final], 2022)
+    (fate,) = report.fates
+    assert fate.fate is Fate.SUCCESS
+    assert report == track([earlier, final], 2022)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +422,7 @@ def test_vintage_ordering_enforced(snapshots):
 # ---------------------------------------------------------------------------
 
 def test_bundled_fate_shares(snapshots):
-    rates = fate_rates(track(*snapshots, target_year=2022), by_status=True)
+    rates = fate_rates(track(snapshots, target_year=2022))
     assert rates.total.success == pytest.approx(0.02)
     assert rates.total.delayed == pytest.approx(0.28)
     assert rates.total.disappeared == pytest.approx(0.70)
@@ -409,7 +431,7 @@ def test_bundled_fate_shares(snapshots):
 
 
 def test_shares_sum_to_one(snapshots):
-    rates = fate_rates(track(*snapshots, target_year=2022), by_status=True)
+    rates = fate_rates(track(snapshots, target_year=2022))
     assert sum(rates.total.as_tuple()) == pytest.approx(1.0, abs=1e-9)
     for shares in rates.by_status.values():
         assert sum(shares.as_tuple()) == pytest.approx(1.0, abs=1e-9)
@@ -418,7 +440,7 @@ def test_shares_sum_to_one(snapshots):
 def test_single_successful_project():
     earlier = Snapshot(2021, [_rec("A", cap=100.0)])
     final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, launch=2022)])
-    rates = fate_rates(track(earlier, earlier, final, 2022))
+    rates = fate_rates(track([earlier, final], 2022))
     assert rates.total.as_tuple() == pytest.approx((1.0, 0.0, 0.0))
 
 
@@ -429,12 +451,12 @@ def test_equal_thirds_fixture():
         _rec("A", status=Status.OPERATIONAL, launch=2022, cap=1000.0),
         _rec("B", status=Status.CONCEPT, launch=2024, cap=1000.0),
     ])
-    rates = fate_rates(track(earlier, earlier, final, 2022))
+    rates = fate_rates(track([earlier, final], 2022))
     assert rates.total.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_empty_cohort_is_error():
-    empty = track(Snapshot(2021, []), Snapshot(2022, []), Snapshot(2023, []), 2022)
+    empty = track([Snapshot(2021, []), Snapshot(2022, []), Snapshot(2023, [])], 2022)
     with pytest.raises(ValueError, match="empty"):
         fate_rates(empty)
 
@@ -443,47 +465,63 @@ def test_empty_cohort_is_error():
 # Implementation gap and pipeline
 # ---------------------------------------------------------------------------
 
+def _gap_report(final_mw: float):
+    earlier = Snapshot(2021, [_rec("A", cap=1200.0), _rec("B", cap=800.0)])
+    final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, cap=final_mw)])
+    return track([earlier, final], 2022)
+
+
 def test_implementation_gap_subtraction():
-    snap = Snapshot(2021, [_rec("A", cap=1200.0), _rec("B", cap=800.0)])
-    assert implementation_gap(snap, 0.5, 2022) == pytest.approx(1.5)
-    assert implementation_gap(snap, 2.0, 2022) == 0.0
-    assert implementation_gap(snap, 5.0, 2022) == 0.0   # floored
+    assert _gap_report(500.0).implementation_gap_mw == pytest.approx(1500.0)
+    assert _gap_report(2000.0).implementation_gap_mw == 0.0
+
+
+def test_implementation_gap_floors_at_zero_when_capacity_grew():
+    report = _gap_report(5000.0)
+    assert report.realized_mw > report.announced_mw
+    assert report.implementation_gap_mw == 0.0
 
 
 def test_pipeline_sums_single_year():
     snap = Snapshot(2023, [_rec("A", cap=100.0, launch=2026),
                            _rec("B", cap=200.0, launch=2026),
                            _rec("C", cap=300.0, launch=2026)])
-    series = pipeline(snap, 2030)
-    assert series.cumulative_total(2030) == pytest.approx(0.6)
-    assert series.annual_total(2026) == pytest.approx(0.6)
+    assert pipeline_gw(snap, 2030) == pytest.approx(0.6)
+    assert pipeline_gw(snap, 2026) - pipeline_gw(snap, 2025) == pytest.approx(0.6)
 
 
 def test_bundled_pipeline_matches_trajectory_fixture(snapshots, pipeline_traj):
-    series = pipeline(snapshots[2], 2030)
-    assert series.cumulative_total(2030) == pytest.approx(441.0, abs=1e-9)
-    assert series.cumulative_total(2023) == pytest.approx(1.86, abs=1e-9)
+    snap = snapshots[2]
+    assert pipeline_gw(snap, 2030) == pytest.approx(441.0, abs=1e-9)
+    assert pipeline_gw(snap, 2023) == pytest.approx(1.86, abs=1e-9)
     for year in range(2024, 2031):
-        assert series.annual_total(year) == pytest.approx(
+        assert pipeline_gw(snap, year) - pipeline_gw(snap, year - 1) == pytest.approx(
             pipeline_traj.addition(year), abs=1e-9)
 
 
 def test_pipeline_groupings_sum_to_same_total(snapshots):
-    for group_by in ("year", "status", "region"):
-        series = pipeline(snapshots[2], 2030, group_by=group_by)
-        assert series.cumulative_total(2030) == pytest.approx(441.0, abs=1e-9)
+    counted = [r for r in snapshots[2].records
+               if r.launch_year <= 2030 and r.status is not Status.DECOMMISSIONED]
+    for key in ("launch_year", "status", "region"):
+        groups: dict = {}
+        for rec in counted:
+            group = getattr(rec, key)
+            groups[group] = groups.get(group, 0.0) + rec.capacity_mw / 1000.0
+        assert sum(groups.values()) == pytest.approx(441.0, abs=1e-9)
+    assert pipeline_gw(snapshots[2], 2030) == pytest.approx(441.0, abs=1e-9)
 
 
 def test_pipeline_excludes_decommissioned():
     snap = Snapshot(2023, [_rec("A", cap=100.0, launch=2022),
                            _rec("B", cap=900.0, launch=2022,
                                 status=Status.DECOMMISSIONED)])
-    assert pipeline(snap, 2030).cumulative_total(2030) == pytest.approx(0.1)
+    assert pipeline_gw(snap, 2030) == pytest.approx(0.1)
 
 
-def test_pipeline_invalid_grouping(snapshots):
-    with pytest.raises(ValueError):
-        pipeline(snapshots[2], 2030, group_by="country")
+def test_empty_pipeline_is_a_float_zero():
+    # reports print an int 0 as "0", not "0.0"
+    total = pipeline_gw(Snapshot(2023, [_rec("A", launch=2031)]), 2030)
+    assert total == 0.0 and type(total) is float
 
 
 # ---------------------------------------------------------------------------
