@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "scenarios": (
         "RequirementStats", "ScenarioRequirement", "ambition_gap",
-        "load_requirements", "median_trajectory", "stats",
+        "load_requirements", "stats",
     ),
     "subsidies": (
         "BudgetSupportResult", "GasCost", "SubsidySchedule", "annual_subsidies",

@@ -69,7 +69,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _last_year(text: str) -> int:
+def _end_year(text: str) -> int:
     """argparse ``type=`` for ``--horizon``/``--through``: a year in 2024-2100."""
     try:
         year = int(text)
@@ -88,7 +88,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="central",
                         choices=["central", "progressive", "conservative"])
     parser.add_argument("--carbon-pricing", default="off", choices=["on", "off"])
-    parser.add_argument("--horizon", type=_last_year, default=2045)
+    parser.add_argument("--horizon", type=_end_year, default=2045)
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     parser.add_argument("--out", metavar="DIR", default="h2gap_out",
                         help="output directory (default: ./h2gap_out)")
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("subsidies", help="required annual and cumulative subsidies")
-    p.add_argument("--through", type=_last_year,
+    p.add_argument("--through", type=_end_year,
                    help="last payment year (default: --horizon)")
     p.add_argument("--include-post2030", action="store_true",
                    help="also subsidise build years after 2030 along the "
@@ -216,15 +216,6 @@ def _vintage(path) -> int | None:
     """The vintage year a snapshot file name carries: its stem's first four digits."""
     m = re.search(r"(\d{4})", Path(path).stem)
     return int(m.group(1)) if m else None
-
-
-def _extended_trajectory(args, pipe):
-    from . import fixtures
-
-    if args.horizon <= pipe.last_year:
-        return pipe
-    return fixtures.median_extended_pipeline(args.horizon, pipeline=pipe,
-                                             requirements=_load_requirements(args))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +334,14 @@ def cmd_ambition(args):
 
 
 def cmd_lcoh(args):
+    from . import fixtures
     from .costs import lcoh
 
     params = _load_params(args.params, args.scenario)
-    traj = _extended_trajectory(args, _load_pipeline(args))
+    traj = fixtures.median_extended_pipeline(args.horizon, pipeline=_load_pipeline(args),
+                                             requirements=_load_requirements(args))
     rows = []
-    for year in range(2024, args.horizon + 1):
+    for year in range(FIRST_SUBSIDY_YEAR, args.horizon + 1):
         b = lcoh(year, traj, params)
         rows.append({"year": year, "electricity": b.electricity,
                      "stack_capital": b.stack_capital,
@@ -366,14 +359,16 @@ def cmd_lcoh(args):
 
 
 def cmd_gap(args):
+    from . import fixtures
     from .costs import lcoh
     from .subsidies import gas_cost
 
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
-    traj = _extended_trajectory(args, _load_pipeline(args))
+    traj = fixtures.median_extended_pipeline(args.horizon, pipeline=_load_pipeline(args),
+                                             requirements=_load_requirements(args))
     rows = []
-    for year in range(2024, args.horizon + 1):
+    for year in range(FIRST_SUBSIDY_YEAR, args.horizon + 1):
         total = lcoh(year, traj, params).total
         gas = gas_cost(year, params, carbon).total
         rows.append({"year": year, "lcoh": total, "gas_total": gas,
@@ -398,8 +393,8 @@ def cmd_subsidies(args):
     pipe = _load_pipeline(args)
     supported = demand_supported_additions(params, pipe, args.policy_mt)
     if args.include_post2030:
-        traj = fixtures.median_extended_pipeline(
-            through, pipeline=pipe, requirements=_load_requirements(args))
+        traj = fixtures.median_extended_pipeline(through, pipeline=pipe,
+                                                 requirements=_load_requirements(args))
     else:
         traj = pipe
     schedule = cumulative_subsidies(traj.with_supported(supported), params,
@@ -450,9 +445,8 @@ def cmd_sweep(args):
     from .subsidies import cumulative_subsidies, demand_supported_additions, parity_year
 
     pipe = _load_pipeline(args)
-    reqs = _load_requirements(args)
     extended = fixtures.median_extended_pipeline(args.horizon, pipeline=pipe,
-                                                 requirements=reqs)
+                                                 requirements=_load_requirements(args))
     rows = []
     for scenario in ("central", "progressive", "conservative"):
         params = _load_params(None, scenario)

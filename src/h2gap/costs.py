@@ -141,7 +141,23 @@ def _number(value) -> float:
 def _series(obj) -> TimeAnchoredSeries:
     if not isinstance(obj, Mapping):
         raise ValueError(f"expected a mapping of year to value, got {obj!r}")
-    return TimeAnchoredSeries({int(k): _number(v) for k, v in obj.items()})
+    anchors: dict[int, float] = {}
+    for key, value in obj.items():
+        year = int(key)
+        if year in anchors:   # "2024" and "02024" name one year
+            raise ValueError(f"anchor year {year} is given twice")
+        anchors[year] = _number(value)
+    return TimeAnchoredSeries(anchors)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json`` object hook: a key given twice is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,7 @@ class ParamSet:
     @classmethod
     def from_json(cls, path) -> "ParamSet":
         with open(path, encoding="utf-8-sig") as fh:   # a BOM allowed, as in the CSVs
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
     @classmethod
     def builtin(cls, scenario_id: str) -> "ParamSet":
@@ -340,16 +356,6 @@ class CapacityTrajectory:
         return CapacityTrajectory(self.base_year, self.base_capacity_gw,
                                   self._additions, supported_gw)
 
-    def extended(self, additions_gw: Mapping[int, float]) -> "CapacityTrajectory":
-        """New trajectory with extra build years appended (must not overlap)."""
-        overlap = set(self._additions) & {int(y) for y in additions_gw}
-        if overlap:
-            raise ValueError(f"extension overlaps existing build years: {sorted(overlap)}")
-        merged = dict(self._additions)
-        merged.update({int(y): float(v) for y, v in additions_gw.items()})
-        return CapacityTrajectory(self.base_year, self.base_capacity_gw,
-                                  merged, self._supported)
-
     def __repr__(self) -> str:
         return (f"CapacityTrajectory(base={self.base_capacity_gw} GW in "
                 f"{self.base_year}, years {self.build_years[:1]}..{self.last_year})")
@@ -418,8 +424,8 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     them per MWh of hydrogen. Transport and storage enter as a flat $/MWh adder.
     """
     year = int(year)
-    if year < 2024:
-        raise ValueError(f"LCOH is defined from 2024 onwards, got {year}")
+    if year < FIRST_SUBSIDY_YEAR:
+        raise ValueError(f"LCOH is defined from {FIRST_SUBSIDY_YEAR} onwards, got {year}")
     key = (year, trajectory.cumulative(year), trajectory.base_capacity_gw)
     breakdown = params._lcoh_memo.get(key)
     if breakdown is not None:

@@ -6,6 +6,9 @@ conservative), a capacity-addition trajectory for the announced project
 pipeline, a scenario-requirement table and three small project snapshots.
 ``H2GAP_DATA_DIR`` overrides the bundle location, e.g. to point the toolkit
 at real database exports in the same schema.
+
+:func:`median_extended_pipeline` continues a pipeline past 2030 along the
+2040 and 2050 scenario medians, the one place that continuation is built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 from pathlib import Path
 
 from .costs import CapacityTrajectory
-from .scenarios import ScenarioRequirement, load_requirements, median_trajectory, stats
+from .scenarios import ScenarioRequirement, load_requirements, stats
 from .units import read_csv
 
 __all__ = [
@@ -103,17 +106,31 @@ def median_extended_pipeline(horizon: int,
                              ) -> CapacityTrajectory:
     """Pipeline trajectory continued past 2030 along the scenario medians.
 
-    Uses the 2040 and 2050 requirement medians (outliers excluded) to extend
-    the announced pipeline, which drives post-2030 learning and, when asked
-    for, post-2030 subsidy cohorts.
+    Annual additions after 2030 are piecewise-constant, so that cumulative
+    capacity is linear through (2030, pipeline), (2040, median 2040) and
+    (2050, median 2050), with the medians taken over the requirements
+    (outliers excluded); additions are zero after 2050. The continuation
+    drives post-2030 learning and, when asked for, post-2030 subsidy cohorts.
+    A pipeline that already reaches the horizon, or a horizon up to 2030, is
+    returned unchanged. Supported capacity carries over.
     """
     pipe = pipeline if pipeline is not None else builtin_pipeline()
-    if horizon <= pipe.last_year:
+    if horizon <= max(pipe.last_year, 2030):
         return pipe
     reqs = requirements if requirements is not None else builtin_requirements()
     c2030 = pipe.cumulative(2030)
     m40 = stats(reqs, 2040).median
     m50 = stats(reqs, 2050).median
-    continuation = median_trajectory(c2030, m40, m50, horizon)
-    return pipe.extended({y: continuation.addition(y)
-                          for y in continuation.build_years})
+    if m40 < c2030 or m50 < m40:
+        raise ValueError("cumulative targets must be non-decreasing: "
+                         f"{c2030} (2030), {m40} (2040), {m50} (2050)")
+    overlap = [y for y in pipe.build_years if y > 2030]
+    if overlap:
+        raise ValueError(f"extension overlaps existing build years: {overlap}")
+    step_2030s, step_2040s = (m40 - c2030) / 10.0, (m50 - m40) / 10.0
+    additions = {y: pipe.addition(y) for y in pipe.build_years}
+    for year in range(2031, horizon + 1):
+        additions[year] = (step_2030s if year <= 2040 else
+                           step_2040s if year <= 2050 else 0.0)
+    return CapacityTrajectory(pipe.base_year, pipe.base_capacity_gw, additions,
+                              {y: pipe.supported(y) for y in pipe.build_years})

@@ -2,10 +2,11 @@
 
 Holds per-scenario 2030-2050 electrolysis capacity requirements, computes
 distribution statistics (quartiles interpolated linearly between closest
-ranks: Hyndman & Fan type 7, the same as numpy's default), the signed gap
-between a requirement and the project pipeline, and the piecewise-linear
-capacity trajectory that continues the 2030 pipeline along the scenario
-median.
+ranks: Hyndman & Fan type 7, the same as numpy's default) and the signed gap
+between a requirement and the project pipeline. The capacity trajectory that
+continues the pipeline past 2030 along the scenario medians is built by
+:func:`h2gap.fixtures.median_extended_pipeline`; this module needs nothing
+from the cost side.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import CapacityTrajectory
 from .units import _parse_bool, production_to_capacity, read_csv
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "load_requirements",
     "stats",
     "ambition_gap",
-    "median_trajectory",
 ]
 
 # Scenario sources that report hydrogen production instead of electrolysis
@@ -140,34 +139,3 @@ def ambition_gap(requirement_gw: float, pipeline_gw: float) -> float:
     """
     return requirement_gw - pipeline_gw
 
-
-def median_trajectory(pipeline_2030_gw: float, median_2040_gw: float,
-                      median_2050_gw: float, horizon: int) -> CapacityTrajectory:
-    """Post-2030 capacity trajectory along the scenario median.
-
-    Annual additions are piecewise-constant so that cumulative capacity is
-    linear through (2030, pipeline), (2040, median 2040) and (2050,
-    median 2050); additions are zero after 2050. The returned trajectory is
-    based at 2030 with the pipeline as installed base; splice it onto a
-    pipeline trajectory with :meth:`CapacityTrajectory.extended` when a single
-    2023-based series is needed.
-    """
-    if horizon < 2030:
-        raise ValueError(f"horizon must be >= 2030, got {horizon}")
-    if median_2040_gw < pipeline_2030_gw or median_2050_gw < median_2040_gw:
-        raise ValueError(
-            "cumulative targets must be non-decreasing: "
-            f"{pipeline_2030_gw} (2030), {median_2040_gw} (2040), "
-            f"{median_2050_gw} (2050)")
-    step_2030s = (median_2040_gw - pipeline_2030_gw) / 10.0
-    step_2040s = (median_2050_gw - median_2040_gw) / 10.0
-    additions = {}
-    for year in range(2031, horizon + 1):
-        if year <= 2040:
-            additions[year] = step_2030s
-        elif year <= 2050:
-            additions[year] = step_2040s
-        else:
-            additions[year] = 0.0
-    return CapacityTrajectory(base_year=2030, base_capacity_gw=pipeline_2030_gw,
-                              additions_gw=additions)

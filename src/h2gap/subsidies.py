@@ -50,8 +50,9 @@ class GasCost(NamedTuple):
 
 def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> GasCost:
     """Gas cost in ``year``; the CO2 component is emission intensity x CO2 price."""
-    if year < 2024:
-        raise ValueError(f"gas cost is defined from 2024 onwards, got {year}")
+    if year < FIRST_SUBSIDY_YEAR:
+        raise ValueError(f"gas cost is defined from {FIRST_SUBSIDY_YEAR} onwards, "
+                         f"got {year}")
     fuel = params.gas_price.at(year)
     co2 = params.emission_intensity * params.co2_price.at(year) if carbon_pricing else 0.0
     return GasCost(int(year), fuel, co2)

@@ -120,8 +120,12 @@ def test_cumulative_is_end_of_year():
 def test_cumulative_equals_summing_the_additions(pipeline_traj, extended_traj):
     # the prefix sums must reproduce the direct sum bit for bit: reports were
     # written with it (``sum`` adds floats left to right up to Python 3.11)
+    with_gaps = CapacityTrajectory(
+        pipeline_traj.base_year, pipeline_traj.base_capacity_gw,
+        {**{y: pipeline_traj.addition(y) for y in pipeline_traj.build_years},
+         2031: 0.1, 2033: 2.7})
     for traj in (pipeline_traj, extended_traj, fixtures.median_extended_pipeline(2100),
-                 pipeline_traj.extended({2031: 0.1, 2033: 2.7})):
+                 with_gaps):
         adds = [(y, traj.addition(y)) for y in traj.build_years]
         for year in range(traj.base_year, traj.last_year + 3):
             assert traj.cumulative(year) == \
@@ -151,11 +155,16 @@ def test_with_supported_and_net_additions():
 
 
 def test_extended_rejects_overlap():
-    traj = CapacityTrajectory(2023, 1.86, {2024: 10.0})
-    with pytest.raises(ValueError):
-        traj.extended({2024: 1.0})
-    ext = traj.extended({2025: 2.0})
-    assert ext.cumulative(2025) == pytest.approx(13.86)
+    # the median continuation starts in 2031 and may not overwrite a build year
+    reqs = fixtures.builtin_requirements()
+    traj = CapacityTrajectory(2023, 1.86, {2024: 10.0, 2031: 1.0, 2033: 2.0})
+    with pytest.raises(ValueError, match=r"extension overlaps existing build "
+                                         r"years: \[2031, 2033\]"):
+        fixtures.median_extended_pipeline(2040, pipeline=traj, requirements=reqs)
+    ext = fixtures.median_extended_pipeline(
+        2040, pipeline=CapacityTrajectory(2023, 1.86, {2024: 10.0}), requirements=reqs)
+    assert ext.cumulative(2030) == pytest.approx(11.86)
+    assert ext.build_years == [2024, *range(2031, 2041)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +224,27 @@ def test_from_dict_missing_key():
     ("co2_usd_per_t", {}, "series needs at least one anchor"),
     ("stack_lifetime_yr", 10, "expected a mapping of year to value, got 10"),
     ("full_load_hours", 10 ** 400, "int too large to convert to float"),
+    ("gas_usd_per_mwh", {"2024": 19.0, "02024": 500.0},
+     "anchor year 2024 is given twice"),
 ], ids=["bool", "false", "string", "null", "series-bool", "series-value",
-        "series-key", "series-empty", "series-number", "huge-int"])
+        "series-key", "series-empty", "series-number", "huge-int", "series-year-twice"])
 def test_from_dict_errors_name_the_key(key, value, message):
     raw = json.loads(fixtures.params_path("central").read_text())
     with pytest.raises(ValueError, match=f"^{key}: {re.escape(message)}"):
         ParamSet.from_dict({**raw, key: value})
+
+
+@pytest.mark.parametrize("duplicate, key", [
+    ('"full_load_hours": 5000', "full_load_hours"),
+    ('"co2_usd_per_t": {"2024": 19.0, "2024": 500.0}', "2024"),
+], ids=["top-level", "series"])
+def test_from_json_rejects_a_key_given_twice(tmp_path, duplicate, key):
+    # json.load would keep the later value; the file's last "}" closes the object
+    text = fixtures.params_path("central").read_text().rstrip()
+    path = tmp_path / "params.json"
+    path.write_text(f"{text[:-1]}, {duplicate}}}")
+    with pytest.raises(ValueError, match=f"key '{key}' is given twice"):
+        ParamSet.from_json(path)
 
 
 @pytest.mark.parametrize("raw", [[], "central", 1, None])

@@ -51,6 +51,13 @@ def _pipeline_with(row: str) -> bytes:
     return _bundled("pipeline_additions.csv") + row.encode()
 
 
+def _pipeline_through(last_year: int) -> bytes:
+    """The bundled pipeline cut after ``last_year``."""
+    lines = _bundled("pipeline_additions.csv").decode().splitlines(keepends=True)
+    return "".join(line for line in lines
+                   if not line[:4].isdigit() or int(line[:4]) <= last_year).encode()
+
+
 # input files of the error lines, written under <TMP>
 INPUTS = {
     "snap_bad_rows.csv": (SNAPSHOT_HEADER + "A,one,DEU,Europe,Concept,20x4,10,false\n"
@@ -76,6 +83,10 @@ INPUTS = {
     "pipe_one_row.csv": (PIPELINE_HEADER + "2023,1.86,false\n").encode(),
     "pipe_missing_column.csv": b"year,approximate\n2023,false\n",
     "pipe_bom.csv": codecs.BOM_UTF8 + _bundled("pipeline_additions.csv"),
+    "pipe_2027.csv": _pipeline_through(2027),
+    "pipe_2035.csv": _pipeline_with("".join(f"{y},5.0,true\n" for y in range(2031, 2036))),
+    "reqs_down.csv": _bundled("scenario_requirements.csv").split(b"\n")[0]
+    + b"\nA,one,2030,500,,false\nA,one,2040,1000,,false\nA,one,2050,800,,false\n",
     "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
     "params_not_json.json": b"{not json",
     "params_missing_key.json": json.dumps(
@@ -98,6 +109,8 @@ INPUTS = {
     "params_series_value.json": _params(efficiency_lhv={"2024": "abc"}),
     "params_series_key.json": _params(gas_usd_per_mwh={"20x4": 20.0}),
     "params_list.json": json.dumps([json.loads(_bundled("params_central.json"))]).encode(),
+    "params_series_year_twice.json": _params(gas_usd_per_mwh={"2024": 19.0, "02024": 500.0}),
+    "params_key_twice.json": _params()[:-1] + b', "full_load_hours": 5000}',
     "blocker": b"",
 }
 
@@ -158,6 +171,15 @@ ERROR_LINES = [
                    "pipe_zero_base", "pipe_nan_base", "pipe_one_row",
                    "pipe_missing_column", "pipe_bom")),
     ["subsidies", "--pipeline", "<TMP>/pipe_negative.csv"],
+    # the post-2030 median continuation
+    ["lcoh", "--pipeline", "<TMP>/pipe_2035.csv", "--horizon", "2040"],
+    ["lcoh", "--pipeline", "<TMP>/pipe_2027.csv", "--horizon", "2029"],
+    ["lcoh", "--pipeline", "<TMP>/pipe_2027.csv", "--horizon", "2040"],
+    ["lcoh", "--scenarios-file", "<TMP>/reqs_down.csv", "--horizon", "2060"],
+    ["sweep", "--horizon", "2030", "--scenarios-file", "<TMP>/absent.csv"],
+    ["subsidies", "--include-post2030", "--through", "2030",
+     "--scenarios-file", "<TMP>/absent.csv"],
+    ["lcoh", "--horizon", "2030", "--scenarios-file", "<TMP>/absent.csv"],
     # parameter files
     *(["lcoh", "--params", f"<TMP>/{name}.json"]
       for name in ("params_bom", "params_not_json", "params_missing_key", "params_nan",
@@ -167,7 +189,7 @@ ERROR_LINES = [
                    "params_negative_co2", "params_zero_prices",
                    "params_dict_scenario", "params_number_scenario",
                    "params_boolean", "params_series_value", "params_series_key",
-                   "params_list")),
+                   "params_list", "params_series_year_twice", "params_key_twice")),
     ["gap", "--carbon-pricing", "on", "--params", "<TMP>/params_negative_co2.json"],
     ["subsidies", "--params", "<TMP>/params_dict_scenario.json"],
     ["support", "--budget", "308", "--params", "<TMP>/params_zero_prices.json"],

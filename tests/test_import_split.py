@@ -1,7 +1,8 @@
 """Each command imports only the side of the package it uses.
 
 ``import h2gap`` loads no submodule; its exports are resolved lazily.
-``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only. The five cost
+``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only, and
+``import h2gap.scenarios`` adds no cost-side module. The five cost
 commands never load the project side, and ``track`` loads neither the cost
 side nor ``dataclasses`` and ``inspect``. Each check runs in a fresh
 interpreter, because this test process has imported everything already; only
@@ -49,6 +50,7 @@ def _run(argv: list[str], tmp_path: Path) -> str:
     ("import h2gap", {"h2gap"}),
     ("import h2gap.cli", {"h2gap", "h2gap.cli", "h2gap.units"}),
     ("import h2gap.units", {"h2gap", "h2gap.units"}),
+    ("import h2gap.scenarios", {"h2gap", "h2gap.scenarios", "h2gap.units"}),
 ])
 def test_import_loads_only_what_it_names(tmp_path, statement, package):
     assert _package(_modules_loaded_by(statement, tmp_path)) == package
@@ -58,7 +60,7 @@ def test_star_import_gives_every_export_from_its_module():
     namespace = {}
     exec("from h2gap import *", namespace)
     exported = {name for name in namespace if name != "__builtins__"}
-    assert exported == set(h2gap.__all__) and len(exported) == 39
+    assert exported == set(h2gap.__all__) and len(exported) == 38
     for name in exported:
         module = sys.modules[f"h2gap.{h2gap._MODULE_OF[name]}"]
         assert namespace[name] is getattr(module, name)

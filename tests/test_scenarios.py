@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from h2gap import (
+    CapacityTrajectory,
     ScenarioRequirement,
     ambition_gap,
     load_requirements,
-    median_trajectory,
     stats,
 )
 from h2gap import fixtures
@@ -91,21 +91,35 @@ def test_gap_zero_at_parity():
 
 
 # ---------------------------------------------------------------------------
-# median trajectory
+# median-extended pipeline
 # ---------------------------------------------------------------------------
 
+PIPE_2030 = CapacityTrajectory(2029, 41.0, {2030: 400.0})   # 441 GW by 2030
+
+
+def _medians(m40, m50):
+    """Requirements whose 2040 and 2050 medians are ``m40`` and ``m50``."""
+    return [_req(m40, year=2040), _req(m50, year=2050)]
+
+
+def _extend(m40, m50, horizon=2050, pipe=PIPE_2030):
+    return fixtures.median_extended_pipeline(horizon, pipeline=pipe,
+                                             requirements=_medians(m40, m50))
+
+
 def test_flat_targets_give_zero_additions():
-    traj = median_trajectory(441.0, 441.0, 441.0, 2050)
+    traj = _extend(441.0, 441.0)
+    assert traj.build_years == list(range(2030, 2051))
     assert all(traj.addition(y) == 0.0 for y in range(2031, 2051))
 
 
 def test_uniform_slope():
-    traj = median_trajectory(441.0, 1441.0, 2441.0, 2050)
+    traj = _extend(1441.0, 2441.0)
     assert all(traj.addition(y) == pytest.approx(100.0) for y in range(2031, 2051))
 
 
 def test_cumulative_reproduces_anchor_points():
-    traj = median_trajectory(441.0, 2000.0, 4000.0, 2050)
+    traj = _extend(2000.0, 4000.0)
     assert traj.cumulative(2030) == pytest.approx(441.0)
     assert traj.cumulative(2040) == pytest.approx(2000.0, abs=1e-9)
     assert traj.cumulative(2050) == pytest.approx(4000.0, abs=1e-9)
@@ -115,21 +129,46 @@ def test_additions_match_finite_differences_of_linear_path():
     reqs = fixtures.builtin_requirements()
     m40 = stats(reqs, 2040).median
     m50 = stats(reqs, 2050).median
-    traj = median_trajectory(441.0, m40, m50, 2055)
+    traj = fixtures.median_extended_pipeline(2055, pipeline=PIPE_2030,
+                                             requirements=reqs)
     # oracle: finite differences of the piecewise-linear cumulative path
     years = np.arange(2030, 2056)
     cumulative = np.interp(years, [2030, 2040, 2050], [441.0, m40, m50])
     for year, expected in zip(years[1:], np.diff(cumulative)):
         assert traj.addition(int(year)) == pytest.approx(expected, abs=1e-9)
+    assert traj.last_year == 2055
+    assert all(traj.addition(y) == 0.0 for y in range(2051, 2056))
 
 
 def test_decreasing_targets_rejected():
-    with pytest.raises(ValueError):
-        median_trajectory(441.0, 300.0, 4000.0, 2050)
-    with pytest.raises(ValueError):
-        median_trajectory(441.0, 2000.0, 1500.0, 2050)
-    with pytest.raises(ValueError):
-        median_trajectory(441.0, 2000.0, 4000.0, 2029)
+    for m40, m50 in ((300.0, 4000.0), (2000.0, 1500.0)):
+        with pytest.raises(ValueError, match="cumulative targets must be "
+                                             "non-decreasing: 441.0 \\(2030\\)"):
+            _extend(m40, m50)
+
+
+def test_a_pipeline_that_reaches_the_horizon_is_not_extended():
+    # nothing to continue, so the requirements are not consulted at all
+    short = CapacityTrajectory(2023, 1.86, {2024: 11.0, 2027: 66.0})
+    for pipe, horizon in ((PIPE_2030, 2030), (short, 2029), (short, 2030)):
+        assert fixtures.median_extended_pipeline(horizon, pipeline=pipe,
+                                                 requirements=[]) is pipe
+
+
+def test_a_short_pipeline_stays_flat_until_2030():
+    short = CapacityTrajectory(2023, 1.86, {2024: 11.0, 2027: 66.0})
+    traj = _extend(1000.0, 1500.0, horizon=2035, pipe=short)
+    assert traj.build_years == [2024, 2027, *range(2031, 2036)]
+    assert traj.cumulative(2030) == short.cumulative(2027) == 1.86 + 11.0 + 66.0
+    assert traj.addition(2031) == (1000.0 - 78.86) / 10.0
+
+
+def test_supported_capacity_carries_over():
+    pipe = PIPE_2030.with_supported({2030: 150.0})
+    traj = _extend(1441.0, 2441.0, pipe=pipe)
+    assert traj.supported(2030) == 150.0
+    assert traj.net_addition(2030) == 250.0
+    assert traj.net_addition(2031) == traj.addition(2031)
 
 
 # ---------------------------------------------------------------------------
