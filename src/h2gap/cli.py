@@ -168,8 +168,7 @@ def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> N
         path = out_dir / f"{name}.{fmt}"
         if fmt == "json":
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(rows, indent=2) + "\n")   # one write, not one per token
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 if rows:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .costs import CapacityTrajectory
 from .scenarios import ScenarioRequirement, load_requirements, stats
-from .units import read_csv
+from .units import FIRST_SUBSIDY_YEAR, read_csv
 
 __all__ = [
     "data_dir", "params_path", "pipeline_path", "requirements_path",
@@ -61,8 +61,9 @@ def load_pipeline(path) -> CapacityTrajectory:
     """Read a capacity trajectory CSV (columns ``year,additions_gw``; others ignored).
 
     The earliest row is the installed base: cumulative capacity at the end of
-    that year, which must be positive. Later rows are annual additions, finite
-    and >= 0. Bad rows raise one SnapshotDataError naming their lines, a
+    that year, which must be positive and no later than the first year of the
+    cost path (``units.FIRST_SUBSIDY_YEAR``). Later rows are annual additions,
+    finite and >= 0. Bad rows raise one SnapshotDataError naming their lines, a
     missing column SnapshotSchemaError.
     """
     rows: dict[int, float] = {}
@@ -81,9 +82,14 @@ def load_pipeline(path) -> CapacityTrajectory:
                 bad(f"additions_gw must be finite and >= 0, got {gw}")
             else:
                 rows[year], lines[year] = gw, line()
-        if rows and rows[min(rows)] == 0.0:
-            bad(f"the installed base in {min(rows)} must be positive, got 0.0",
-                line=lines[min(rows)])
+        if rows:
+            base_year = min(rows)
+            if rows[base_year] == 0.0:
+                bad(f"the installed base in {base_year} must be positive, got 0.0",
+                    line=lines[base_year])
+            if base_year > FIRST_SUBSIDY_YEAR:
+                bad(f"the installed base must be in {FIRST_SUBSIDY_YEAR} or earlier, "
+                    f"got {base_year}", line=lines[base_year])
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")
     base_year = min(rows)

@@ -129,7 +129,7 @@ class Snapshot:
     def __init__(self, vintage_year: int, records: Iterable[ProjectRecord],
                  load_report: LoadReport | None = None):
         self.vintage_year = int(vintage_year)
-        self.records = tuple(sorted(records, key=lambda r: r.ref_id))
+        self.records = tuple(sorted(records, key=itemgetter(0)))   # ref_id
         self.load_report = load_report
         seen: set[str] = set()
         for rec in self.records:
@@ -171,6 +171,9 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     statuses: dict[str, Status] = {}
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
+    # what every row reads, bound once per load rather than looked up per row
+    record, keep, add = ProjectRecord, records.append, seen.add
+    demo, other, demo_states, inf = Status.DEMO, Status.OTHER, _DEMO_STATES, math.inf
     with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad, _):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
         demo_col = index.get("demo_state")
@@ -192,27 +195,29 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
                 else:
                     launch_year = None
                 cap_text = cap_text.strip()
-                capacity = float(cap_text) if cap_text else None
-                if capacity is not None:
-                    if capacity <= 0.0:
-                        raise ValueError(f"capacity must be positive, got {capacity}")
-                    if not capacity < math.inf:
-                        raise ValueError(f"capacity must be finite, got {capacity}")
+                if cap_text:
+                    capacity = float(cap_text)
+                    if not 0.0 < capacity < inf:
+                        raise ValueError(
+                            f"capacity must be positive, got {capacity}" if capacity <= 0.0
+                            else f"capacity must be finite, got {capacity}")
+                else:
+                    capacity = None
                 confidential = flags.get(conf_text)
                 if confidential is None:
                     confidential = flags[conf_text] = _parse_bool(conf_text)
-                if status is Status.DEMO:
+                if status is demo:
                     if demo_col is None:
                         raise ValueError("DEMO row requires a demo_state column")
                     state = row[demo_col].strip().lower()
-                    if state not in _DEMO_STATES:
+                    if state not in demo_states:
                         raise ValueError(f"DEMO row needs demo_state in "
-                                         f"{sorted(_DEMO_STATES)}, got {state!r}")
-                    status = _DEMO_STATES[state]
+                                         f"{sorted(demo_states)}, got {state!r}")
+                    status = demo_states[state]
             except ValueError as exc:
                 bad(str(exc))
                 continue
-            if status is Status.OTHER:
+            if status is other:
                 dropped["status_other"] += 1
             elif launch_year is None:
                 dropped["missing_launch_year"] += 1
@@ -221,11 +226,9 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
             elif ref_id in seen:
                 bad(f"duplicate ref_id {ref_id!r}")
             else:
-                seen.add(ref_id)
-                records.append(ProjectRecord(
-                    ref_id=ref_id, name=name.strip(), country=country.strip(),
-                    region=region.strip(), status=status, launch_year=launch_year,
-                    capacity_mw=capacity, confidential=confidential))
+                add(ref_id)
+                keep(record(ref_id, name.strip(), country.strip(), region.strip(),
+                            status, launch_year, capacity, confidential))
     report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
                         dropped_reasons=dict(dropped))
     return Snapshot(vintage_year, records, load_report=report)

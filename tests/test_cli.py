@@ -435,6 +435,11 @@ def test_missing_bundled_params_is_usage_error(tmp_path, capsys, monkeypatch,
                  "the installed base in 2023 must be positive, got 0.0", id="base-0"),
     pytest.param("2024,11.0,true\n2023,nan,false\n",
                  "additions_gw must be finite and >= 0, got nan", id="base-nan"),
+    # the cost path starts in 2024, so a later base leaves its first years without one
+    pytest.param("2032,3,true\n2031,5,true\n",
+                 "the installed base must be in 2024 or earlier, got 2031", id="base-2031"),
+    pytest.param("2026,3,true\n2025,5,true\n",
+                 "the installed base must be in 2024 or earlier, got 2025", id="base-2025"),
 ])
 def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, rows, message):
     pipe = tmp_path / "pipe.csv"
@@ -443,6 +448,13 @@ def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, rows, mess
     assert main(["lcoh", "--pipeline", str(pipe), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {pipe}: 1 bad row(s)\n  line 3: {message}\n"
     assert not out.exists()
+
+
+def test_pipeline_based_in_first_cost_year_loads(tmp_path):
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text("year,additions_gw\n2024,5\n2025,3\n")
+    traj = fixtures.load_pipeline(pipe)
+    assert (traj.base_year, traj.base_capacity_gw) == (2024, 5.0)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

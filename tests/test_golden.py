@@ -85,6 +85,8 @@ INPUTS = {
     "pipe_bom.csv": codecs.BOM_UTF8 + _bundled("pipeline_additions.csv"),
     "pipe_2027.csv": _pipeline_through(2027),
     "pipe_2035.csv": _pipeline_with("".join(f"{y},5.0,true\n" for y in range(2031, 2036))),
+    "pipe_late_base.csv": (PIPELINE_HEADER + "2031,5\n2032,3\n").encode(),
+    "pipe_2025_base.csv": (PIPELINE_HEADER + "2025,5\n2026,3\n2027,4\n").encode(),
     "reqs_down.csv": _bundled("scenario_requirements.csv").split(b"\n")[0]
     + b"\nA,one,2030,500,,false\nA,one,2040,1000,,false\nA,one,2050,800,,false\n",
     "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
@@ -171,6 +173,10 @@ ERROR_LINES = [
                    "pipe_zero_base", "pipe_nan_base", "pipe_one_row",
                    "pipe_missing_column", "pipe_bom")),
     ["subsidies", "--pipeline", "<TMP>/pipe_negative.csv"],
+    # an installed base after 2024 leaves the cost path's first years without one
+    ["lcoh", "--pipeline", "<TMP>/pipe_late_base.csv"],
+    ["support", "--budget", "308", "--pipeline", "<TMP>/pipe_late_base.csv"],
+    ["subsidies", "--policy-mt", "0", "--pipeline", "<TMP>/pipe_2025_base.csv"],
     # the post-2030 median continuation
     ["lcoh", "--pipeline", "<TMP>/pipe_2035.csv", "--horizon", "2040"],
     ["lcoh", "--pipeline", "<TMP>/pipe_2027.csv", "--horizon", "2029"],

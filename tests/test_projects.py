@@ -226,14 +226,36 @@ def test_one_record_built_per_kept_row(tmp_path, monkeypatch):
     path, records, report = _write_synthetic(tmp_path, 4)
     built = []
 
-    def counting_record(*args, **kwargs):
-        built.append(kwargs["ref_id"])
+    def counting_record(*args, **kwargs):      # positional or keyword alike
+        built.append((args, kwargs))
         return ProjectRecord(*args, **kwargs)
 
     monkeypatch.setattr(projects, "ProjectRecord", counting_record)
     snap = load_snapshot(path, 2023)
     assert report.dropped > 0
     assert len(built) == snap.load_report.kept == len(records)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_status_and_flag_parsed_once_per_distinct_text(tmp_path, monkeypatch, seed):
+    path, _, _ = _write_synthetic(tmp_path, seed)
+    rows = [row for row in _synthetic_snapshot(seed)[0] if row]
+    calls = {"status": [], "flag": []}
+
+    def counting(kind, parse):
+        def wrapper(text):
+            calls[kind].append(text)
+            return parse(text)
+        return wrapper
+
+    monkeypatch.setattr(projects, "_parse_status",
+                        counting("status", projects._parse_status))
+    monkeypatch.setattr(projects, "_parse_bool", counting("flag", projects._parse_bool))
+    load_snapshot(path, 2023)
+    # the memos key on the raw text, so each spelling is parsed exactly once
+    assert sorted(calls["status"]) == sorted({row[4] for row in rows})
+    assert sorted(calls["flag"]) == sorted({row[7] for row in rows})
+    assert len(calls["status"]) < len(rows) and len(calls["flag"]) < len(rows)
 
 
 def test_non_finite_capacity_is_row_error(tmp_path):
