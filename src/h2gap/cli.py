@@ -195,20 +195,43 @@ def _load_params(params_file: str | None, scenario: str):
         raise ConfigError(f"bad parameter file {path}: {exc}") from None
 
 
+def _pipeline_path(args) -> Path:
+    from . import fixtures
+
+    return _require_file(args.pipeline, fixtures.pipeline_path(), "pipeline file")
+
+
+def _requirements_path(args) -> Path:
+    from . import fixtures
+
+    return _require_file(args.scenarios_file, fixtures.requirements_path(),
+                         "scenario requirement file")
+
+
 def _load_pipeline(args):
     from . import fixtures
 
-    path = _require_file(args.pipeline, fixtures.pipeline_path(), "pipeline file")
-    return fixtures.load_pipeline(path)
+    return fixtures.load_pipeline(_pipeline_path(args))
 
 
 def _load_requirements(args):
-    from . import fixtures
     from .scenarios import load_requirements
 
-    path = _require_file(args.scenarios_file, fixtures.requirements_path(),
-                         "scenario requirement file")
-    return load_requirements(path)
+    return load_requirements(_requirements_path(args))
+
+
+def _median_extended(args, pipe, horizon: int):
+    """``pipe`` continued to ``horizon`` along the medians of the requirement
+    file. Either file can make the continuation fail, so its error names both."""
+    from . import fixtures
+
+    reqs = _load_requirements(args)
+    try:
+        return fixtures.median_extended_pipeline(horizon, pipeline=pipe,
+                                                 requirements=reqs)
+    except ValueError as exc:
+        raise ValueError(f"cannot continue {_pipeline_path(args)} along the medians "
+                         f"of {_requirements_path(args)}: {exc}") from None
 
 
 def _vintage(path) -> int | None:
@@ -333,12 +356,10 @@ def cmd_ambition(args):
 
 
 def cmd_lcoh(args):
-    from . import fixtures
     from .costs import lcoh
 
     params = _load_params(args.params, args.scenario)
-    traj = fixtures.median_extended_pipeline(args.horizon, pipeline=_load_pipeline(args),
-                                             requirements=_load_requirements(args))
+    traj = _median_extended(args, _load_pipeline(args), args.horizon)
     rows = []
     for year in range(FIRST_SUBSIDY_YEAR, args.horizon + 1):
         b = lcoh(year, traj, params)
@@ -358,14 +379,12 @@ def cmd_lcoh(args):
 
 
 def cmd_gap(args):
-    from . import fixtures
     from .costs import lcoh
     from .subsidies import gas_cost
 
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
-    traj = fixtures.median_extended_pipeline(args.horizon, pipeline=_load_pipeline(args),
-                                             requirements=_load_requirements(args))
+    traj = _median_extended(args, _load_pipeline(args), args.horizon)
     rows = []
     for year in range(FIRST_SUBSIDY_YEAR, args.horizon + 1):
         total = lcoh(year, traj, params).total
@@ -383,7 +402,6 @@ def cmd_gap(args):
 
 
 def cmd_subsidies(args):
-    from . import fixtures
     from .subsidies import cumulative_subsidies, demand_supported_additions
 
     params = _load_params(args.params, args.scenario)
@@ -391,11 +409,7 @@ def cmd_subsidies(args):
     through = args.through if args.through else args.horizon
     pipe = _load_pipeline(args)
     supported = demand_supported_additions(params, pipe, args.policy_mt)
-    if args.include_post2030:
-        traj = fixtures.median_extended_pipeline(through, pipeline=pipe,
-                                                 requirements=_load_requirements(args))
-    else:
-        traj = pipe
+    traj = _median_extended(args, pipe, through) if args.include_post2030 else pipe
     schedule = cumulative_subsidies(traj.with_supported(supported), params,
                                     carbon, through)
     peak_year, peak = schedule.peak()
@@ -440,12 +454,10 @@ def cmd_sweep(args):
     if args.params:
         raise ConfigError("sweep uses the three bundled scenario files; "
                           "--params is not applicable")
-    from . import fixtures
     from .subsidies import cumulative_subsidies, demand_supported_additions, parity_year
 
     pipe = _load_pipeline(args)
-    extended = fixtures.median_extended_pipeline(args.horizon, pipeline=pipe,
-                                                 requirements=_load_requirements(args))
+    extended = _median_extended(args, pipe, args.horizon)
     rows = []
     for scenario in ("central", "progressive", "conservative"):
         params = _load_params(None, scenario)

@@ -63,8 +63,10 @@ def load_pipeline(path) -> CapacityTrajectory:
     The earliest row is the installed base: cumulative capacity at the end of
     that year, which must be positive and no later than the first year of the
     cost path (``units.FIRST_SUBSIDY_YEAR``). Later rows are annual additions,
-    finite and >= 0. Bad rows raise one SnapshotDataError naming their lines, a
-    missing column SnapshotSchemaError.
+    finite and >= 0, built in that year or later: the learning curve is
+    anchored at 2023 costs, so an earlier cohort has no LCOH. Bad rows raise
+    one SnapshotDataError naming their lines, a missing column
+    SnapshotSchemaError.
     """
     rows: dict[int, float] = {}
     lines: dict[int, int] = {}
@@ -90,6 +92,10 @@ def load_pipeline(path) -> CapacityTrajectory:
             if base_year > FIRST_SUBSIDY_YEAR:
                 bad(f"the installed base must be in {FIRST_SUBSIDY_YEAR} or earlier, "
                     f"got {base_year}", line=lines[base_year])
+            for year in rows:
+                if base_year < year < FIRST_SUBSIDY_YEAR:
+                    bad(f"additions must be in {FIRST_SUBSIDY_YEAR} or later, got "
+                        f"{year}", line=lines[year])
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")
     base_year = min(rows)

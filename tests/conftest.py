@@ -1,6 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
 
 from h2gap import ParamSet, demand_supported_additions, fixtures
+
+# property tests replay the same draws on every run, with no deadline
+settings.register_profile("h2gap", derandomize=True, deadline=None, database=None)
+settings.load_profile("h2gap")
 
 # acceptance tests record one (criterion, passed, detail) entry each; the
 # terminal summary prints them as a pass/fail table
@@ -44,6 +52,18 @@ def snapshots():
     from h2gap import load_snapshot
     return tuple(load_snapshot(fixtures.snapshot_path(v), v)
                  for v in (2021, 2022, 2023))
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """``bench/oracle.py``, the stdlib-only reference ledger the benchmark uses too."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    if not path.is_file():
+        pytest.skip("bench/ is not part of this tree")
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -35,8 +35,6 @@ from h2gap import (
 )
 from h2gap.projects import ProjectRecord
 
-from test_subsidies import _oracle_annual_subsidies
-
 
 def _rec(ref, status=Status.CONCEPT, launch=2022, cap=100.0):
     return ProjectRecord(ref_id=ref, name=ref, country="DEU", region="Europe",
@@ -196,7 +194,7 @@ def test_c11_optional_real_database_rates():
         == pytest.approx(0.15, abs=0.01)
 
 
-def test_c12_numerical_property_suite(pipeline_traj, central, acceptance_check):
+def test_c12_numerical_property_suite(pipeline_traj, central, oracle, acceptance_check):
     # annuity zero-rate limit
     annuity_ok = all(annuity_factor(0.0, n) == pytest.approx(1.0 / n, rel=1e-12)
                      for n in (1, 5, 10, 15, 40))
@@ -215,12 +213,10 @@ def test_c12_numerical_property_suite(pipeline_traj, central, acceptance_check):
         collapse_ok &= math.isclose(b.total, single, rel_tol=0, abs_tol=1e-9)
     # per-cohort ledger equals the brute-force oracle on a small instance
     additions = {2024: 1.0, 2025: 0.5, 2026: 2.0, 2027: 1.5, 2028: 0.25}
-    traj = CapacityTrajectory(2023, 1.86, additions)
-    oracle = _oracle_annual_subsidies(additions, {}, central, True, 2045)
-    schedule = cumulative_subsidies(traj, central, True, 2045)
-    ledger_ok = all(
-        schedule.annual(y) == pytest.approx(oracle[y], rel=1e-9)
-        for y in schedule.years)
+    ledger = oracle.Reference(central, 2023, 1.86, additions, {}, True).annual(2045)
+    schedule = cumulative_subsidies(CapacityTrajectory(2023, 1.86, additions),
+                                    central, True, 2045)
+    ledger_ok = schedule.annual_busd == pytest.approx(tuple(ledger.values()), rel=1e-9)
     ok = annuity_ok and collapse_ok and ledger_ok
     acceptance_check(
         "12 numerical properties", ok,

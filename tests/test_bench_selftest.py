@@ -3,9 +3,10 @@
 They pin the layer counts of the subsidy sweep (225/405 LCOH evaluations per
 schedule) and the patch points of ``bench/tracer.py``, so a change to h2gap
 that breaks either fails here without any edit under ``bench/``. An installed
-package has no ``bench/`` directory; the test is skipped there.
+package has no ``bench/`` directory; the tests are skipped there.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,17 @@ def test_benchmark_unit_tests_pass():
          "-p", "test_*.py"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+@pytest.mark.skipif(not (ROOT / "bench" / "oracle.py").is_file(),
+                    reason="bench/ is not part of this tree")
+def test_oracle_imports_no_h2gap_module():
+    # the tests and the benchmark check h2gap against this reference; one
+    # that called the library would compare the code with itself
+    tree = ast.parse((ROOT / "bench" / "oracle.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    roots = {name.split(".")[0] for name in imported}
+    assert roots and "h2gap" not in roots, roots

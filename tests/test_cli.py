@@ -440,6 +440,9 @@ def test_missing_bundled_params_is_usage_error(tmp_path, capsys, monkeypatch,
                  "the installed base must be in 2024 or earlier, got 2031", id="base-2031"),
     pytest.param("2026,3,true\n2025,5,true\n",
                  "the installed base must be in 2024 or earlier, got 2025", id="base-2025"),
+    # an addition before 2024 has no LCOH: the learning curve starts at 2023 costs
+    pytest.param("2020,1.0,false\n2021,2.0,true\n2024,11.0,true\n",
+                 "additions must be in 2024 or later, got 2021", id="addition-2021"),
 ])
 def test_non_finite_pipeline_addition_is_data_error(tmp_path, capsys, rows, message):
     pipe = tmp_path / "pipe.csv"
@@ -455,6 +458,16 @@ def test_pipeline_based_in_first_cost_year_loads(tmp_path):
     pipe.write_text("year,additions_gw\n2024,5\n2025,3\n")
     traj = fixtures.load_pipeline(pipe)
     assert (traj.base_year, traj.base_capacity_gw) == (2024, 5.0)
+
+
+def test_continuation_error_names_both_files(tmp_path, capsys):
+    # a 2030 pipeline above the 2040 median cannot be continued along the medians
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text("year,additions_gw\n2023,1.86\n2030,2000000\n")
+    assert main(["lcoh", "--pipeline", str(pipe), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot continue {pipe} along the medians of "
+        f"{fixtures.requirements_path()}: cumulative targets must be non-decreasing")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

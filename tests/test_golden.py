@@ -87,6 +87,9 @@ INPUTS = {
     "pipe_2035.csv": _pipeline_with("".join(f"{y},5.0,true\n" for y in range(2031, 2036))),
     "pipe_late_base.csv": (PIPELINE_HEADER + "2031,5\n2032,3\n").encode(),
     "pipe_2025_base.csv": (PIPELINE_HEADER + "2025,5\n2026,3\n2027,4\n").encode(),
+    "pipe_early_additions.csv": (PIPELINE_HEADER + "2020,1.0\n2021,2.0\n").encode()
+    + _bundled("pipeline_additions.csv").split(b"\n", 2)[2],     # its 2024-2030 rows
+    "pipe_2030_huge.csv": _pipeline_through(2029) + b"2030,2000000,true\n",
     "reqs_down.csv": _bundled("scenario_requirements.csv").split(b"\n")[0]
     + b"\nA,one,2030,500,,false\nA,one,2040,1000,,false\nA,one,2050,800,,false\n",
     "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
@@ -177,11 +180,16 @@ ERROR_LINES = [
     ["lcoh", "--pipeline", "<TMP>/pipe_late_base.csv"],
     ["support", "--budget", "308", "--pipeline", "<TMP>/pipe_late_base.csv"],
     ["subsidies", "--policy-mt", "0", "--pipeline", "<TMP>/pipe_2025_base.csv"],
+    # additions before 2024 have no LCOH: a row error, whichever command reads them
+    ["lcoh", "--pipeline", "<TMP>/pipe_early_additions.csv"],
+    ["subsidies", "--pipeline", "<TMP>/pipe_early_additions.csv"],
+    ["support", "--budget", "300", "--pipeline", "<TMP>/pipe_early_additions.csv"],
     # the post-2030 median continuation
     ["lcoh", "--pipeline", "<TMP>/pipe_2035.csv", "--horizon", "2040"],
     ["lcoh", "--pipeline", "<TMP>/pipe_2027.csv", "--horizon", "2029"],
     ["lcoh", "--pipeline", "<TMP>/pipe_2027.csv", "--horizon", "2040"],
     ["lcoh", "--scenarios-file", "<TMP>/reqs_down.csv", "--horizon", "2060"],
+    ["lcoh", "--pipeline", "<TMP>/pipe_2030_huge.csv"],
     ["sweep", "--horizon", "2030", "--scenarios-file", "<TMP>/absent.csv"],
     ["subsidies", "--include-post2030", "--through", "2030",
      "--scenarios-file", "<TMP>/absent.csv"],

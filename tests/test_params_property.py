@@ -75,7 +75,7 @@ def parameter_files(draw):
     return raw
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(raw=parameter_files())
 def test_no_parameter_file_raises_or_reports_non_finite(raw):
     with tempfile.TemporaryDirectory() as tmp:

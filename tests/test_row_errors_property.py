@@ -82,7 +82,7 @@ def _corrupted_file(data, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_every_bad_row_is_reported_on_its_line(kind, data):
     argv, name, _ = KINDS[kind]

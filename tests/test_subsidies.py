@@ -1,7 +1,9 @@
 import dataclasses
 import math
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h2gap import (
     CapacityTrajectory,
@@ -17,6 +19,7 @@ from h2gap import (
     lcoh,
     parity_year,
 )
+from h2gap.subsidies import _cohort_unit_cost
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +163,13 @@ def test_cohort_window_is_exactly_payback_years():
 
 def test_lcoh_locked_at_build_year(central, pipeline_traj):
     # the 2024 cohort keeps paying 2024-vintage costs against later gas prices
-    traj = pipeline_traj.with_supported({})
-    lcoh_2024 = lcoh(2024, traj, central).total
-    expected = traj.addition(2024) * 3750.0 * central.efficiency.at(2024) \
+    lcoh_2024 = lcoh(2024, pipeline_traj, central).total
+    expected = pipeline_traj.addition(2024) * 3750.0 * central.efficiency.at(2024) \
         * (lcoh_2024 - gas_cost(2026, central, False).total) * 1e-6
-    only_2024 = CapacityTrajectory(2023, 1.86, {2024: traj.addition(2024)})
+    only_2024 = CapacityTrajectory(2023, 1.86, {2024: pipeline_traj.addition(2024)})
     got = annual_subsidies(2026, only_2024, central, False)
     # same cumulative capacity in 2024, so same locked LCOH
-    assert only_2024.cumulative(2024) == traj.cumulative(2024)
+    assert only_2024.cumulative(2024) == pipeline_traj.cumulative(2024)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -206,10 +208,9 @@ def test_higher_carbon_price_lowers_requirements_further(central, offset_traj):
     assert cumulative_subsidies(offset_traj, pricier, True, 2045).total_busd < base
 
 
-def test_bigger_pipeline_needs_more_subsidies(central, pipeline_traj):
+def test_bigger_pipeline_needs_more_subsidies(central, pipeline_traj, offset_traj):
     supported = demand_supported_additions(central, pipeline_traj)
-    base = cumulative_subsidies(pipeline_traj.with_supported(supported),
-                                central, False, 2045).total_busd
+    base = cumulative_subsidies(offset_traj, central, False, 2045).total_busd
     for factor in (1.1, 1.5):
         bigger = CapacityTrajectory(
             2023, 1.86,
@@ -219,10 +220,9 @@ def test_bigger_pipeline_needs_more_subsidies(central, pipeline_traj):
         assert grown > base
 
 
-def test_removing_demand_policy_strictly_raises_subsidies(central, pipeline_traj):
-    supported = demand_supported_additions(central, pipeline_traj)
-    with_policy = cumulative_subsidies(pipeline_traj.with_supported(supported),
-                                       central, False, 2045).total_busd
+def test_removing_demand_policy_strictly_raises_subsidies(central, pipeline_traj,
+                                                          offset_traj):
+    with_policy = cumulative_subsidies(offset_traj, central, False, 2045).total_busd
     without = cumulative_subsidies(pipeline_traj, central, False, 2045).total_busd
     assert without > with_policy
 
@@ -285,86 +285,86 @@ def test_schedule_computes_each_learning_state_once(central, pipeline_traj, monk
 
 
 # ---------------------------------------------------------------------------
-# Brute-force per-cohort ledger oracle
+# The library against bench/oracle.py over drawn valid inputs
 # ---------------------------------------------------------------------------
 
-def _oracle_annual_subsidies(additions, supported, params, carbon, through):
-    """Independent re-derivation: explicit per-cohort payment ledger.
+BUNDLED = {s: ParamSet.builtin(s) for s in ("central", "progressive", "conservative")}
+PIPE = fixtures.builtin_pipeline()
+PIPE_ADDS = {y: PIPE.addition(y) for y in PIPE.build_years}
+OFFSET = demand_supported_additions(BUNDLED["central"], PIPE)     # the 7 Mt policy
+Cell = namedtuple("Cell", "params additions supported carbon base_year base_gw "
+                          "horizon budget_share", defaults=(2023, 1.86, 2045, 0.5))
+FIVE_YEARS = Cell(BUNDLED["central"], {2024: 1.0, 2025: 2.0, 2026: 1.5, 2027: 0.5, 2028: 3.0},
+                  {2024: 0.2, 2025: 0.0, 2026: 0.5, 2027: 0.1, 2028: 1.0}, False)
 
-    Everything is recomputed from first principles (learning curve, annuity,
-    LCOH, gas cost) without calling the library's cost functions.
-    """
-    def series_at(series, year):
-        anchors = series.anchors()
-        years = sorted(anchors)
-        if year <= years[0]:
-            return anchors[years[0]]
-        for lo, hi in zip(years, years[1:]):
-            if year <= hi:
-                w = (year - lo) / (hi - lo)
-                return anchors[lo] + w * (anchors[hi] - anchors[lo])
-        return anchors[years[-1]]
 
-    def inv_total(year):
-        c = 1.86 + sum(v for y, v in additions.items() if y <= year)
-        stack = params.stack_share_2023 * params.investment_2023 \
-            * (c / 1.86) ** math.log2(1.0 - params.learning_rate_stack)
-        bop = (1.0 - params.stack_share_2023) * params.investment_2023 \
-            * (c / 1.86) ** math.log2(1.0 - params.learning_rate_bop)
-        return stack, bop
+@st.composite
+def cells(draw):
+    """A parameter set, a pipeline through 2030 and its supported share, a horizon."""
+    params = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]
+    params = dataclasses.replace(
+        params, payback_period=draw(st.sampled_from((1.0, 2.5, 7.0, 15.0, 15.5, 30.0))),
+        gas_price=params.gas_price.scaled(draw(st.sampled_from((0.2, 1.0, 3.0)))))
+    base_year = draw(st.sampled_from((2023, 2024)))
+    additions = {y: draw(st.floats(0.0, 80.0)) for y in range(base_year + 1, 2031)}
+    share = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return Cell(params, additions, {y: share * v for y, v in additions.items()},
+                draw(st.booleans()), base_year, draw(st.sampled_from((0.5, 1.86, 20.0))),
+                draw(st.sampled_from((2030, 2045, 2060))),
+                draw(st.sampled_from((0.0, 0.5, 1.5))))
 
-    def annuity(n):
-        r = params.cost_of_capital
-        return r / (1.0 - (1.0 + r) ** (-n))
 
-    def lcoh_at(year):
-        stack, bop = inv_total(year)
-        eta = series_at(params.efficiency, year)
-        a_b = annuity(params.payback_period)
-        a_s = annuity(series_at(params.stack_lifetime, year))
-        capex = ((a_b + params.fom_share) * bop
-                 + (a_s + params.fom_share) * stack) / params.full_load_hours
-        return (capex * 1000.0 + series_at(params.electricity_price, year)) / eta \
-            + params.transport_storage
+def _matches_reference(oracle, cell):
+    params, additions, supported, carbon, base_year, base_gw, horizon, share = cell
+    ref = oracle.Reference(params, base_year, base_gw, additions, supported, carbon)
+    pipe = CapacityTrajectory(base_year, base_gw, additions)
+    traj = pipe.with_supported(supported)
+    schedule = cumulative_subsidies(traj, params, carbon, horizon)
+    assert dict(zip(schedule.years, schedule.annual_busd)) \
+        == pytest.approx(ref.annual(horizon), rel=1e-9, abs=1e-9)
+    unit_costs = ref.unit_costs()
+    assert {y: _cohort_unit_cost(y, traj, params, carbon) for y in unit_costs} \
+        == pytest.approx(unit_costs, rel=1e-9, abs=1e-9)
+    years = range(2024, horizon + 1)
+    assert [lcoh(y, traj, params).total for y in years] \
+        == pytest.approx([ref.lcoh(y) for y in years], rel=1e-9)
+    # parity is the first year whose gap is <= 0, allowing a 1e-9 $/MWh tie
+    gaps = [ref.lcoh(y) - ref.gas(y) for y in years]
+    parity = parity_year(traj, params, carbon, horizon)
+    first = len(gaps) if parity is None else parity - 2024
+    assert all(g > -1e-9 for g in gaps[:first])
+    assert parity is None or gaps[first] <= 1e-9
+    window = sum(additions.values())        # every build year is in 2024-2030
+    for policy in (0.0, oracle.POLICY_MT):
+        offset = oracle.supported_additions(params, additions) if policy and window else {}
+        if policy and not 0.0 < sum(offset.values()) <= window:
+            with pytest.raises(ValueError, match="exceeds the announced pipeline"):
+                capacity_supported_by_budget(0.0, params, carbon, pipe, policy)
+            continue
+        full = oracle.Reference(params, base_year, base_gw, additions, offset,
+                                carbon).full_cost()
+        budget = share * full
+        for allocation in ("chronological", "uniform"):
+            res = capacity_supported_by_budget(budget, params, carbon, pipe, policy,
+                                               allocation)
+            assert res.saturated == (budget >= full)
+            assert res.spent_busd == pytest.approx(full if res.saturated else budget,
+                                                   rel=1e-9)
 
-    def gas_at(year):
-        g = series_at(params.gas_price, year)
-        if carbon:
-            g += params.emission_intensity * series_at(params.co2_price, year)
-        return g
 
-    ledger = {year: 0.0 for year in range(2024, through + 1)}
-    for build_year, added in additions.items():
-        net = added - supported.get(build_year, 0.0)
-        locked = lcoh_at(build_year)
-        for k in range(int(params.payback_period)):
-            pay_year = build_year + k
-            if pay_year > through:
-                break
-            gap = max(0.0, locked - gas_at(pay_year))
-            ledger[pay_year] += net * params.full_load_hours \
-                * series_at(params.efficiency, build_year) * gap * 1e-6
-    return ledger
+@settings(max_examples=400)
+@given(cell=cells())
+def test_library_matches_the_reference_ledger(oracle, cell):
+    _matches_reference(oracle, cell)
 
 
 @pytest.mark.parametrize("carbon", [False, True])
-def test_ledger_matches_brute_force_oracle(central, carbon):
-    additions = {2024: 1.0, 2025: 2.0, 2026: 1.5, 2027: 0.5, 2028: 3.0}
-    supported = {2024: 0.2, 2025: 0.0, 2026: 0.5, 2027: 0.1, 2028: 1.0}
-    traj = CapacityTrajectory(2023, 1.86, additions, supported)
-    oracle = _oracle_annual_subsidies(additions, supported, central, carbon, 2045)
-    schedule = cumulative_subsidies(traj, central, carbon, 2045)
-    for year in schedule.years:
-        assert schedule.annual(year) == pytest.approx(oracle[year], rel=1e-9), year
+def test_ledger_matches_brute_force_oracle(oracle, carbon):
+    _matches_reference(oracle, FIVE_YEARS._replace(carbon=carbon))
 
 
-def test_ledger_oracle_on_bundled_pipeline(central, offset_traj):
-    additions = {y: offset_traj.addition(y) for y in offset_traj.build_years}
-    supported = {y: offset_traj.supported(y) for y in offset_traj.build_years}
-    oracle = _oracle_annual_subsidies(additions, supported, central, False, 2045)
-    schedule = cumulative_subsidies(offset_traj, central, False, 2045)
-    for year in schedule.years:
-        assert schedule.annual(year) == pytest.approx(oracle[year], rel=1e-9)
+def test_ledger_oracle_on_bundled_pipeline(oracle):
+    _matches_reference(oracle, FIVE_YEARS._replace(additions=PIPE_ADDS, supported=OFFSET))
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +423,11 @@ def test_uniform_budget_is_spent_exactly(central, pipeline_traj, carbon, share):
 
 
 @pytest.mark.parametrize("carbon", [False, True])
-def test_saturated_spend_equals_uncut_ledger_total(central, pipeline_traj,
-                                                   offset_traj, carbon):
-    res = capacity_supported_by_budget(1e6, central, carbon, pipeline_traj)
+def test_saturated_spend_equals_uncut_ledger_total(central, oracle, carbon):
+    res = capacity_supported_by_budget(1e6, central, carbon, PIPE)
     assert res.saturated
-    additions = {y: offset_traj.addition(y) for y in offset_traj.build_years}
-    supported = {y: offset_traj.supported(y) for y in offset_traj.build_years}
-    through = offset_traj.last_year + int(central.payback_period) - 1
-    ledger = _oracle_annual_subsidies(additions, supported, central, carbon, through)
+    ref = oracle.Reference(central, 2023, 1.86, PIPE_ADDS, OFFSET, carbon)
+    ledger = ref.annual(PIPE.last_year + ref.tau - 1)
     assert res.spent_busd == pytest.approx(sum(ledger.values()), rel=1e-9)
 
 
@@ -450,16 +447,14 @@ def test_budget_inversion_prices_each_build_year_once(central, pipeline_traj,
     assert sorted(calls) == pipeline_traj.build_years
 
 
-def test_chronological_fills_early_years_first(central, pipeline_traj):
+def test_chronological_fills_early_years_first(central, pipeline_traj, offset_traj):
     res = capacity_supported_by_budget(308.0, central, False, pipeline_traj)
     years = sorted(res.per_year_gw)
     filled = [res.per_year_gw[y] for y in years]
     # first years fully funded, then a partial year, then nothing
-    traj = pipeline_traj.with_supported(
-        demand_supported_additions(central, pipeline_traj))
     state = "full"
     for year, got in zip(years, filled):
-        net = traj.net_addition(year)
+        net = offset_traj.net_addition(year)
         if state == "full" and got < net - 1e-9:
             state = "tail"
             continue
@@ -478,7 +473,6 @@ def test_budget_validation(central, pipeline_traj):
 @pytest.mark.parametrize("carbon", [False, True])
 def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, carbon):
     # payment years past the last gas and CO2 anchors are added in closed form
-    from h2gap.subsidies import _cohort_unit_cost
     params = dataclasses.replace(central, payback_period=40.0)
     for year in offset_traj.build_years:
         locked = lcoh(year, offset_traj, params).total
