@@ -6,15 +6,15 @@ Commands::
     h2gap ambition   [--year 2030] [--exclude-outliers true|false]
     h2gap lcoh       [--scenario central] [--horizon 2045]
     h2gap gap        [--scenario central] [--carbon-pricing on|off]
-    h2gap subsidies  [--through 2045] [--include-post2030]
+    h2gap subsidies  [--horizon 2045] [--include-post2030]
     h2gap support    --budget 308 [--allocation chronological|uniform]
     h2gap sweep      [--horizon 2045]
 
-Common flags: ``--params FILE``, ``--scenario``, ``--carbon-pricing on|off``,
-``--horizon YEAR``, ``--format csv|json``, ``--out DIR``, ``--pipeline FILE``,
-``--scenarios-file FILE``, ``--policy-mt MT``. Bundled fixture data is used
-for anything not supplied; ``H2GAP_DATA_DIR`` points all defaults somewhere
-else.
+Every command takes ``--scenario``, ``--carbon-pricing on|off``, ``--horizon
+YEAR``, ``--format csv|json`` and ``--out DIR``, plus those of ``--params FILE``,
+``--pipeline FILE``, ``--scenarios-file FILE`` and ``--policy-mt MT`` it reads.
+Bundled fixture data is used for anything not supplied; ``H2GAP_DATA_DIR``
+points all defaults somewhere else.
 
 ``track`` takes two or more snapshots, oldest first: the first gives the
 target-year cohort, the last judges its fate, and every file is one Sankey
@@ -43,9 +43,11 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .units import FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR, SnapshotSchemaError
+from .units import (DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR,
+                    SCENARIO_IDS, SnapshotSchemaError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,7 +72,7 @@ def _finite_float(text: str) -> float:
 
 
 def _end_year(text: str) -> int:
-    """argparse ``type=`` for ``--horizon``/``--through``: a year in 2024-2100."""
+    """argparse ``type=`` for ``--horizon``: a year in 2024-2100."""
     try:
         year = int(text)
     except ValueError:
@@ -82,22 +84,26 @@ def _end_year(text: str) -> int:
     return year
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--params", metavar="FILE",
-                        help="parameter JSON overriding the bundled scenario file")
-    parser.add_argument("--scenario", default="central",
-                        choices=["central", "progressive", "conservative"])
-    parser.add_argument("--carbon-pricing", default="off", choices=["on", "off"])
-    parser.add_argument("--horizon", type=_end_year, default=2045)
-    parser.add_argument("--format", default="csv", choices=["csv", "json"])
-    parser.add_argument("--out", metavar="DIR", default="h2gap_out",
-                        help="output directory (default: ./h2gap_out)")
-    parser.add_argument("--pipeline", metavar="FILE",
-                        help="capacity-addition CSV (default: bundled fixture)")
-    parser.add_argument("--scenarios-file", metavar="FILE",
-                        help="scenario requirement CSV (default: bundled fixture)")
-    parser.add_argument("--policy-mt", type=_finite_float, default=7.0,
-                        help="demand-side policy volume in Mt H2/yr (default 7)")
+_FLAGS = {
+    "--params": dict(metavar="FILE", help="parameter JSON (default: the --scenario file)"),
+    "--scenario": dict(default="central", choices=SCENARIO_IDS),
+    "--carbon-pricing": dict(default="off", choices=["on", "off"]),
+    "--horizon": dict(type=_end_year, default=2045),
+    "--format": dict(default="csv", choices=["csv", "json"]),
+    "--out": dict(metavar="DIR", default="h2gap_out",
+                  help="output directory (default: ./h2gap_out)"),
+    "--pipeline": dict(metavar="FILE", help="capacity-addition CSV (default: bundled)"),
+    "--scenarios-file": dict(metavar="FILE",
+                             help="scenario requirement CSV (default: bundled)"),
+    "--policy-mt": dict(type=_finite_float, default=DEFAULT_POLICY_MT,
+                        help="demand-side policy volume in Mt H2/yr (default 7)"),
+}
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *reads: str) -> None:
+    """Add the five flags bench/workloads.py passes to every command, then ``reads``."""
+    for flag in ("--scenario", "--carbon-pricing", "--horizon", "--format", "--out", *reads):
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-year", type=int, required=True)
     p.add_argument("--vintages",
                    help="comma-separated vintage years (default: from file names)")
-    _common_flags(p)
+    _shared_flags(p)
 
     p = sub.add_parser("ambition", help="scenario statistics and the ambition gap")
     p.add_argument("--year", type=int, default=2030)
@@ -122,31 +128,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", metavar="FILE",
                    help="project snapshot for the pipeline side "
                         "(default: bundled 2023 vintage)")
-    _common_flags(p)
+    _shared_flags(p, "--scenarios-file")
 
     p = sub.add_parser("lcoh", help="levelised cost of hydrogen by year")
-    _common_flags(p)
+    _shared_flags(p, "--params", "--pipeline", "--scenarios-file")
 
     p = sub.add_parser("gap", help="cost gap between hydrogen and natural gas")
-    _common_flags(p)
+    _shared_flags(p, "--params", "--pipeline", "--scenarios-file")
 
     p = sub.add_parser("subsidies", help="required annual and cumulative subsidies")
-    p.add_argument("--through", type=_end_year,
-                   help="last payment year (default: --horizon)")
     p.add_argument("--include-post2030", action="store_true",
                    help="also subsidise build years after 2030 along the "
                         "scenario-median continuation")
-    _common_flags(p)
+    _shared_flags(p, "--params", "--pipeline", "--scenarios-file", "--policy-mt")
 
     p = sub.add_parser("support", help="capacity supportable by a subsidy budget")
     p.add_argument("--budget", type=_finite_float, required=True, metavar="BUSD",
                    help="available subsidies in billion US$")
     p.add_argument("--allocation", default="chronological",
                    choices=["chronological", "uniform"])
-    _common_flags(p)
+    _shared_flags(p, "--params", "--pipeline", "--policy-mt")
 
     p = sub.add_parser("sweep", help="scenario x carbon-pricing summary sweep")
-    _common_flags(p)
+    _shared_flags(p, "--pipeline", "--scenarios-file", "--policy-mt")
     return parser
 
 
@@ -232,6 +236,17 @@ def _median_extended(args, pipe, horizon: int):
     except ValueError as exc:
         raise ValueError(f"cannot continue {_pipeline_path(args)} along the medians "
                          f"of {_requirements_path(args)}: {exc}") from None
+
+
+@contextmanager
+def _naming_pipeline(args):
+    """Name the pipeline in an error of spreading ``--policy-mt`` over its
+    additions: a huge addition can overflow its share of the policy volume."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"cannot spread {args.policy_mt:g} Mt/yr of demand-side "
+                         f"policy over {_pipeline_path(args)}: {exc}") from None
 
 
 def _vintage(path) -> int | None:
@@ -406,17 +421,17 @@ def cmd_subsidies(args):
 
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
-    through = args.through if args.through else args.horizon
     pipe = _load_pipeline(args)
-    supported = demand_supported_additions(params, pipe, args.policy_mt)
-    traj = _median_extended(args, pipe, through) if args.include_post2030 else pipe
-    schedule = cumulative_subsidies(traj.with_supported(supported), params,
-                                    carbon, through)
+    traj = _median_extended(args, pipe, args.horizon) if args.include_post2030 else pipe
+    with _naming_pipeline(args):
+        supported = demand_supported_additions(params, pipe, args.policy_mt)
+        traj = traj.with_supported(supported)
+    schedule = cumulative_subsidies(traj, params, carbon, args.horizon)
     peak_year, peak = schedule.peak()
     summary = [f"{'year':<6} {'annual $bn':>12} {'cumulative $bn':>15}"]
     summary += [f"{y:<6} {a:>12.2f} {c:>15.1f}" for y, a, c in
                 zip(schedule.years, schedule.annual_busd, schedule.cumulative_busd)]
-    summary.append(f"cumulative through {through}: {schedule.total_busd:.0f} $bn "
+    summary.append(f"cumulative through {args.horizon}: {schedule.total_busd:.0f} $bn "
                    f"(peak {peak:.1f} $bn in {peak_year})")
     rows = [{"year": y, "annual_busd": a, "cumulative_busd": c,
              "scenario": params.scenario_id, "carbon_pricing": args.carbon_pricing}
@@ -430,9 +445,10 @@ def cmd_support(args):
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"
     pipe = _load_pipeline(args)
-    result = capacity_supported_by_budget(args.budget, params, carbon, pipe,
-                                          policy_mt=args.policy_mt,
-                                          allocation=args.allocation)
+    with _naming_pipeline(args):
+        result = capacity_supported_by_budget(args.budget, params, carbon, pipe,
+                                              policy_mt=args.policy_mt,
+                                              allocation=args.allocation)
     rows = [{"budget_busd": result.budget_busd,
              "subsidy_supported_gw": result.subsidy_supported_gw,
              "demand_supported_gw": result.demand_supported_gw,
@@ -444,25 +460,23 @@ def cmd_support(args):
              "carbon_pricing": args.carbon_pricing}]
     flag = " (budget exceeds full-pipeline requirement)" if result.saturated else ""
     summary = [f"budget {result.budget_busd:.0f} $bn supports "
-               f"{result.subsidy_supported_gw:.1f} GW by 2030{flag}",
+               f"{result.subsidy_supported_gw:.1f} GW by {pipe.last_year}{flag}",
                f"demand-side policy supports a further "
                f"{result.demand_supported_gw:.1f} GW"]
     return {"support": rows}, summary
 
 
 def cmd_sweep(args):
-    if args.params:
-        raise ConfigError("sweep uses the three bundled scenario files; "
-                          "--params is not applicable")
     from .subsidies import cumulative_subsidies, demand_supported_additions, parity_year
 
     pipe = _load_pipeline(args)
     extended = _median_extended(args, pipe, args.horizon)
     rows = []
-    for scenario in ("central", "progressive", "conservative"):
+    for scenario in SCENARIO_IDS:
         params = _load_params(None, scenario)
-        supported = demand_supported_additions(params, pipe, args.policy_mt)
-        traj = pipe.with_supported(supported)
+        with _naming_pipeline(args):
+            supported = demand_supported_additions(params, pipe, args.policy_mt)
+            traj = pipe.with_supported(supported)
         for carbon in (False, True):
             schedule = cumulative_subsidies(traj, params, carbon, args.horizon)
             peak_year, peak = schedule.peak()

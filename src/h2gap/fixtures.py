@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .costs import CapacityTrajectory
 from .scenarios import ScenarioRequirement, load_requirements, stats
-from .units import FIRST_SUBSIDY_YEAR, read_csv
+from .units import FIRST_SUBSIDY_YEAR, SCENARIO_IDS, read_csv
 
 __all__ = [
     "data_dir", "params_path", "pipeline_path", "requirements_path",
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 ENV_DATA_DIR = "H2GAP_DATA_DIR"
-SCENARIO_IDS = ("central", "progressive", "conservative")
 
 
 def data_dir() -> Path:

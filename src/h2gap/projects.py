@@ -372,9 +372,6 @@ class FateShares(NamedTuple):
     delayed: float
     disappeared: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.success, self.delayed, self.disappeared)
-
 
 class FateRates(NamedTuple):
     target_year: int

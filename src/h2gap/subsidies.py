@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .costs import CapacityTrajectory, ParamSet, lcoh
-from .units import FIRST_SUBSIDY_YEAR, production_to_capacity
+from .units import DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, production_to_capacity
 
 __all__ = [
     "GasCost", "SubsidySchedule", "BudgetSupportResult",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 POLICY_WINDOW = (2024, 2030)   # years across which demand-side support is spread
-DEFAULT_POLICY_MT = 7.0        # implemented demand-side measures, Mt H2 per year
 
 
 class GasCost(NamedTuple):

@@ -12,8 +12,8 @@ All currency values are nominal 2023 US$; there is no inflation or
 exchange-rate handling anywhere in the package.
 
 This is also the package's one cheap shared leaf: it imports only the stdlib,
-so every loader and ``h2gap.cli`` share its year bounds, boolean parser, CSV
-reader and input errors without loading the cost or the project side.
+so every loader and ``h2gap.cli`` share its constants, boolean parser, CSV reader
+and input errors without loading the cost or the project side.
 """
 
 import csv
@@ -23,13 +23,15 @@ LHV_KWH_PER_KG = 33.33
 """Lower heating value of hydrogen in kWh per kg (as-printed two decimals)."""
 
 HOURS_PER_YEAR = 8760.0
+SCENARIO_IDS = ("central", "progressive", "conservative")   # bundled params_<id>.json
+DEFAULT_POLICY_MT = 7.0   # implemented demand-side measures, Mt H2 per year by 2030
 
 FIRST_SUBSIDY_YEAR = 2024
 """First year of the cost, gap and subsidy paths; every parameter series
 must have an anchor by then."""
 
 LAST_HORIZON_YEAR = 2100
-"""Last ``--horizon``/``--through`` year; the median continuation adds nothing after 2050."""
+"""Last ``--horizon`` year; the median continuation adds nothing after 2050."""
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False, "": False}

@@ -162,8 +162,8 @@ def test_c11_tracking_property_suite(snapshots, acceptance_check):
     conserved = abs(sum(report.fate_total_mw(f) for f in Fate)
                     + report.dummy_total_mw - report.announced_mw) <= 1e-6
     rates = fate_rates(report)
-    sums_ok = abs(sum(rates.total.as_tuple()) - 1.0) <= 1e-9 and all(
-        abs(sum(s.as_tuple()) - 1.0) <= 1e-9 for s in rates.by_status.values())
+    sums_ok = abs(sum(rates.total) - 1.0) <= 1e-9 and all(
+        abs(sum(s) - 1.0) <= 1e-9 for s in rates.by_status.values())
     reordered = tuple(Snapshot(s.vintage_year, tuple(reversed(s.records)))
                       for s in snapshots)
     order_ok = track(reordered, target_year=2022) == report
@@ -175,7 +175,7 @@ def test_c11_tracking_property_suite(snapshots, acceptance_check):
         "11 tracking properties", ok,
         f"conservation {conserved}, share sums {sums_ok}, order invariance "
         f"{order_ok}, fixture shares "
-        f"{tuple(round(x, 3) for x in rates.total.as_tuple())} "
+        f"{tuple(round(x, 3) for x in rates.total)} "
         "(target (0.02, 0.28, 0.70))")
 
 

@@ -321,7 +321,32 @@ def test_support_budget_inversion(tmp_path, capsys):
 
 def test_support_zero_budget(tmp_path, capsys):
     assert main(["support", "--budget", "0", "--out", str(tmp_path / "o")]) == 0
-    assert "supports 0.0 GW" in capsys.readouterr().out
+    assert "supports 0.0 GW by 2030" in capsys.readouterr().out
+
+
+def test_support_summary_names_the_pipelines_last_build_year(tmp_path, capsys):
+    # the supported total includes the 2031-2035 additions, so it is not "by 2030"
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text(fixtures.pipeline_path().read_text()
+                    + "".join(f"{y},5.0,true\n" for y in range(2031, 2036)))
+    assert main(["support", "--budget", "5000", "--pipeline", str(pipe),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "supports 376.5 GW by 2035 (budget exceeds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["subsidies"], ["support", "--budget", "1"], ["sweep", "--horizon", "2030"]],
+    ids=lambda argv: argv[0])
+def test_overflowing_policy_share_names_the_pipeline(tmp_path, capsys, argv):
+    # the 2028 share of the policy volume, total * 1.7e308 / 1.7e308, overflows
+    pipe = tmp_path / "pipe.csv"
+    pipe.write_text("year,additions_gw\n2023,1.86\n2024,11\n2028,1.7e308\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--pipeline", str(pipe), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot spread 7 Mt/yr of demand-side policy over {pipe}: "
+        "supported capacity exceeds additions in 2028: inf > 1.7e+308\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -342,7 +367,7 @@ def test_support_non_finite_number_is_usage_error(tmp_path, capsys, flags):
     (["lcoh", "--horizon", "2020"], "lcoh"),
     (["gap", "--horizon", "2020"], "gap"),
     (["sweep", "--horizon", "2023"], "sweep"),
-    (["subsidies", "--through", "2023"], "subsidies"),
+    (["subsidies", "--horizon", "2023"], "subsidies"),
     (["support", "--budget", "-5"], "support"),
     (["support", "--budget", "100", "--policy-mt", "-1"], "support"),
 ])
@@ -355,7 +380,7 @@ def test_flag_below_its_range_is_usage_error(tmp_path, capsys, argv, report):
 
 @pytest.mark.parametrize("argv, report", [
     (["lcoh", "--horizon", "2101"], "lcoh"),
-    (["subsidies", "--through", "2101"], "subsidies"),
+    (["subsidies", "--horizon", "2101"], "subsidies"),
 ])
 def test_flag_above_2100_is_usage_error(tmp_path, capsys, argv, report):
     out = tmp_path / "out"
@@ -711,8 +736,26 @@ def test_sweep_covers_all_combinations(tmp_path):
     assert int(central_on["parity_year"]) == 2043
 
 
-def test_sweep_rejects_params_override(tmp_path):
-    assert main(["sweep", "--params", "x.json", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("command, flag", [
+    ("track", "--params"), ("track", "--pipeline"), ("track", "--scenarios-file"),
+    ("track", "--policy-mt"), ("ambition", "--params"), ("ambition", "--pipeline"),
+    ("ambition", "--policy-mt"), ("lcoh", "--policy-mt"), ("gap", "--policy-mt"),
+    ("subsidies", "--through"), ("support", "--scenarios-file"), ("sweep", "--params"),
+])
+def test_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, command, flag):
+    # a command takes only the flags it reads: one it would ignore is a usage
+    # error, even with a valid value
+    required = {"track": ["--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"],
+                "support": ["--budget", "308"]}
+    value = {"--params": str(fixtures.params_path("central")),
+             "--pipeline": str(fixtures.pipeline_path()),
+             "--scenarios-file": str(fixtures.requirements_path()),
+             "--policy-mt": "7", "--through": "2045"}[flag]
+    out = tmp_path / "out"
+    assert main([command, *required.get(command, []), flag, value,
+                 "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -90,6 +90,7 @@ INPUTS = {
     "pipe_early_additions.csv": (PIPELINE_HEADER + "2020,1.0\n2021,2.0\n").encode()
     + _bundled("pipeline_additions.csv").split(b"\n", 2)[2],     # its 2024-2030 rows
     "pipe_2030_huge.csv": _pipeline_through(2029) + b"2030,2000000,true\n",
+    "pipe_overflow.csv": (PIPELINE_HEADER + "2023,1.86\n2024,11\n2028,1.7e308\n").encode(),
     "reqs_down.csv": _bundled("scenario_requirements.csv").split(b"\n")[0]
     + b"\nA,one,2030,500,,false\nA,one,2040,1000,,false\nA,one,2050,800,,false\n",
     "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
@@ -136,7 +137,7 @@ def _grid() -> list[list[str]]:
                     lines.append(["lcoh", *common, "--horizon", horizon])
                     lines.append(["gap", *common, "--horizon", horizon])
                     lines.append(["subsidies", *common, "--horizon", horizon])
-                    lines.append(["subsidies", *common, "--through", horizon,
+                    lines.append(["subsidies", *common, "--horizon", horizon,
                                   "--include-post2030"])
                 for allocation in ("chronological", "uniform"):
                     for budget in ("0", "100", "308", "2000"):
@@ -191,9 +192,15 @@ ERROR_LINES = [
     ["lcoh", "--scenarios-file", "<TMP>/reqs_down.csv", "--horizon", "2060"],
     ["lcoh", "--pipeline", "<TMP>/pipe_2030_huge.csv"],
     ["sweep", "--horizon", "2030", "--scenarios-file", "<TMP>/absent.csv"],
-    ["subsidies", "--include-post2030", "--through", "2030",
+    ["subsidies", "--include-post2030", "--horizon", "2030",
      "--scenarios-file", "<TMP>/absent.csv"],
     ["lcoh", "--horizon", "2030", "--scenarios-file", "<TMP>/absent.csv"],
+    # the support summary's year is the pipeline's last build year
+    ["support", "--budget", "5000", "--pipeline", "<TMP>/pipe_2035.csv"],
+    # the policy volume's share of a huge addition overflows
+    ["subsidies", "--pipeline", "<TMP>/pipe_overflow.csv"],
+    ["support", "--budget", "1", "--pipeline", "<TMP>/pipe_overflow.csv"],
+    ["sweep", "--horizon", "2030", "--pipeline", "<TMP>/pipe_overflow.csv"],
     # parameter files
     *(["lcoh", "--params", f"<TMP>/{name}.json"]
       for name in ("params_bom", "params_not_json", "params_missing_key", "params_nan",
@@ -215,13 +222,17 @@ ERROR_LINES = [
     ["lcoh", "--horizon", "2023"],
     ["lcoh", "--horizon", "2101"],
     ["lcoh", "--horizon", "soon"],
-    ["subsidies", "--through", "2101"],
+    ["subsidies", "--horizon", "2101"],
     ["support"],
     ["support", "--budget", "nan"],
     ["support", "--budget", "-1"],
     ["support", "--budget", "lots"],
     ["lcoh", "--policy-mt", "inf"],
+    ["subsidies", "--policy-mt", "inf"],
     ["sweep", "--params", "<TMP>/params_bom.json"],
+    # each command's usage text pins the flags it takes
+    *([command, "--format", "xml"] for command in ("track", "ambition", "gap",
+                                                    "subsidies", "sweep")),
     ["lcoh", "--out", "<TMP>/blocker/out"],
     ["track", "--snapshots", SNAPS[2021], "--target-year", "2021"],
     ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]}", "--target-year", "2024"],

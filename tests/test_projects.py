@@ -454,16 +454,16 @@ def test_bundled_fate_shares(snapshots):
 
 def test_shares_sum_to_one(snapshots):
     rates = fate_rates(track(snapshots, target_year=2022))
-    assert sum(rates.total.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(rates.total) == pytest.approx(1.0, abs=1e-9)
     for shares in rates.by_status.values():
-        assert sum(shares.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_successful_project():
     earlier = Snapshot(2021, [_rec("A", cap=100.0)])
     final = Snapshot(2023, [_rec("A", status=Status.OPERATIONAL, launch=2022)])
     rates = fate_rates(track([earlier, final], 2022))
-    assert rates.total.as_tuple() == pytest.approx((1.0, 0.0, 0.0))
+    assert tuple(rates.total) == pytest.approx((1.0, 0.0, 0.0))
 
 
 def test_equal_thirds_fixture():
@@ -474,7 +474,7 @@ def test_equal_thirds_fixture():
         _rec("B", status=Status.CONCEPT, launch=2024, cap=1000.0),
     ])
     rates = fate_rates(track([earlier, final], 2022))
-    assert rates.total.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert tuple(rates.total) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_empty_cohort_is_error():
