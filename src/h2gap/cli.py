@@ -28,7 +28,9 @@ all of its reports or none: every report is built and checked before the
 output directory is created.
 
 Output is fully deterministic: rerunning a command yields byte-identical
-files, and the CSV and JSON renderings carry identical values.
+files, and the CSV and JSON renderings carry identical values. JSON reports
+have the bytes of ``json.dumps(rows, indent=2)``. ``main`` runs a command
+with the cyclic garbage collector paused and then restores it.
 
 At module level this imports only the stdlib and :mod:`h2gap.units`. Each
 command imports its own side of the package when it runs: ``track`` the
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -158,6 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _json_text(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2)`` for rows of one or more str/int/float/bool
+    columns, through the C encoder: ``indent`` falls back to pure Python."""
+    body = "\n  },\n  {\n    ".join(_encode_row(row)[1:-1] for row in rows)
+    return "[\n  {\n    " + body + "\n  }\n]" if rows else "[]"
+
+
 def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> None:
     """Write every report of a command, or none: a non-finite float anywhere
     raises ValueError (exit 3) before the directory is created."""
@@ -172,7 +185,7 @@ def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> N
         path = out_dir / f"{name}.{fmt}"
         if fmt == "json":
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rows, indent=2) + "\n")   # one write, not one per token
+                fh.write(_json_text(rows) + "\n")
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 if rows:
@@ -507,6 +520,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic GC paused, and restore the caller's
+    setting. A run builds acyclic data, which dies by refcount on return, so
+    a collection would only rescan the snapshot records it keeps alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -131,12 +131,10 @@ class Snapshot:
         self.vintage_year = int(vintage_year)
         self.records = tuple(sorted(records, key=itemgetter(0)))   # ref_id
         self.load_report = load_report
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.ref_id in seen:
-                raise ValueError(f"duplicate ref_id {rec.ref_id!r} in snapshot "
-                                 f"{self.vintage_year}")
-            seen.add(rec.ref_id)
+        if len(set(map(itemgetter(0), self.records))) != len(self.records):
+            dup = next(a.ref_id for a, b in zip(self.records, self.records[1:])
+                       if a.ref_id == b.ref_id)
+            raise ValueError(f"duplicate ref_id {dup!r} in snapshot {self.vintage_year}")
 
     def by_ref(self) -> dict[str, ProjectRecord]:
         return {r.ref_id: r for r in self.records}
@@ -400,7 +398,8 @@ def fate_rates(report: TransitionReport) -> FateRates:
     Dummy adjustments are excluded from the denominators.
     """
     if not report.fates:
-        raise ValueError("transition report is empty")
+        raise ValueError(f"vintage {report.earlier_vintage} lists no project with "
+                         f"launch year {report.target_year}")
     statuses = sorted({f.status_announced for f in report.fates}, key=lambda s: s.value)
     by_status = {status: _shares([f for f in report.fates if f.status_announced is status])
                  for status in statuses}

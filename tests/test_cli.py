@@ -1,12 +1,18 @@
 import codecs
 import csv
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from h2gap import Status, fixtures, track
+from h2gap import Status, cli, fixtures, track
 from h2gap.cli import main
 
 SNAPSHOT_ARGS = ",".join(str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023))
@@ -779,3 +785,106 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys, argv, fmt):
 
 def test_usage_error_without_command():
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# One run: the paused collector, the JSON writer and ``python -m h2gap``
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's setting and callbacks after the test."""
+    enabled, callbacks = gc.isenabled(), list(gc.callbacks)
+    yield
+    gc.callbacks[:] = callbacks
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _collections_during(run) -> int:
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+    return len(started)
+
+
+def test_track_runs_without_a_collection(tmp_path, capsys, gc_state):
+    argv = ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
+            "--out", str(tmp_path / "out")]
+    gc.enable()
+    # the same run with the collector left on does collect, so 0 is not vacuous
+    assert _collections_during(lambda: cli._run(argv)) > 0
+    assert _collections_during(lambda: main(argv)) == 0
+    assert gc.isenabled()
+
+
+def _raise(args):
+    raise RuntimeError("command failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"], 0),
+    (["track", "--target-year", "2022"], 2),                  # argparse usage error
+    (["track", "--snapshots", "absent2021.csv,absent2022.csv", "--target-year", "2022"], 2),
+    (["track", "--snapshots", SNAPSHOT_ARGS.replace(
+        f",{fixtures.snapshot_path(2022)}", ""), "--target-year", "2023"], 3),
+    (["lcoh"], RuntimeError),
+], ids=["exit-0", "usage", "exit-2", "exit-3", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                  gc_state, enabled, argv, code):
+    monkeypatch.setitem(cli._COMMANDS, "lcoh", _raise)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if code is RuntimeError:
+        with pytest.raises(RuntimeError, match="command failed"):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+# every character class json escapes: quotes, backslashes, control
+# characters and non-ASCII text
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/'),
+                          st.characters()), max_size=12)
+_VALUE = st.one_of(
+    _TEXT, st.just(""), st.booleans(),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324, 1.7976931348623157e308]))
+
+
+@given(rows=st.lists(st.dictionaries(_TEXT, _VALUE, min_size=1, max_size=6),
+                     max_size=5))
+def test_json_writer_matches_indent_2(rows):
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "h2gap", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    proc = run("lcoh", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "lcoh.csv").is_file()
+    proc = run("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: h2gap")

@@ -106,6 +106,12 @@ def test_duplicate_ref_id_is_hard_error(tmp_path):
         load_snapshot(path, 2023)
 
 
+def test_snapshot_names_its_first_duplicate_ref_id_in_sorted_order():
+    records = [_rec("B"), _rec("A"), _rec("B"), _rec("A")]
+    with pytest.raises(ValueError, match="^duplicate ref_id 'A' in snapshot 2023$"):
+        Snapshot(2023, records)
+
+
 def test_missing_column_is_schema_error(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("ref_id,name,status\nA,one,Concept\n")
@@ -479,7 +485,8 @@ def test_equal_thirds_fixture():
 
 def test_empty_cohort_is_error():
     empty = track([Snapshot(2021, []), Snapshot(2022, []), Snapshot(2023, [])], 2022)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError,
+                       match="^vintage 2021 lists no project with launch year 2022$"):
         fate_rates(empty)
 
 
