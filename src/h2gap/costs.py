@@ -323,6 +323,8 @@ class CapacityTrajectory:
         # up to Python 3.11: ``_running[k]`` covers the first k build years
         self._years = list(self._additions)
         self._running = [0.0, *accumulate(self._additions.values())]
+        # net additions aligned with ``_years``, the subtraction of net_addition
+        self._net = [a - self._supported[y] for y, a in self._additions.items()]
 
     @property
     def build_years(self) -> list[int]:

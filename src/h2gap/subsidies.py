@@ -17,6 +17,7 @@ across payment years and no clawback after parity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -103,21 +104,33 @@ def _payback_payments(params: ParamSet) -> int:
     return int(math.ceil(params.payback_period))
 
 
-def _cohort_unit_cost(build_year: int, trajectory: CapacityTrajectory,
-                      params: ParamSet, carbon_pricing: bool) -> float:
-    """Subsidy per GW built in ``build_year`` over its payback window ($bn/GW)."""
-    locked_lcoh = lcoh(build_year, trajectory, params).total
-    eta = params.efficiency.at(build_year)
-    final = build_year + _payback_payments(params) - 1     # last payment year
+def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
+                carbon_pricing: bool) -> dict[int, float]:
+    """Subsidy per GW built in each build year over its payback window ($bn/GW).
+
+    The gas total of a payment year is looked up once per call, whichever
+    cohorts pay in it.
+    """
+    payments = _payback_payments(params)
     # gas is flat from the later of its and the CO2 price's last anchors on, so
     # the payment years after that one repeat its gap: add them in closed form
-    last = min(final, max(build_year, *params.gas_price.anchors(),
-                          *params.co2_price.anchors()))
-    gaps = [max(0.0, locked_lcoh - gas_cost(t, params, carbon_pricing).total)
-            for t in range(build_year, last + 1)]
-    total_gap = sum(gaps) + (final - last) * gaps[-1]
-    # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
-    return params.full_load_hours * eta * total_gap * 1e-6
+    flat_from = max(max(params.gas_price.anchors()), max(params.co2_price.anchors()))
+    gas: dict[int, float] = {}
+    costs = {}
+    for build_year in trajectory.build_years:
+        locked_lcoh = lcoh(build_year, trajectory, params).total
+        final = build_year + payments - 1     # last payment year
+        last = min(final, max(build_year, flat_from))
+        gaps = []
+        for t in range(build_year, last + 1):
+            if t not in gas:
+                gas[t] = gas_cost(t, params, carbon_pricing).total
+            gaps.append(max(0.0, locked_lcoh - gas[t]))
+        total_gap = sum(gaps) + (final - last) * gaps[-1]
+        # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
+        costs[build_year] = params.full_load_hours \
+            * params.efficiency.at(build_year) * total_gap * 1e-6
+    return costs
 
 
 def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet,
@@ -132,11 +145,13 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
         raise ValueError(f"subsidies are defined from {FIRST_SUBSIDY_YEAR}, got {year}")
     payments = _payback_payments(params)
     gas_total = gas_cost(year, params, carbon_pricing).total
+    # the cohorts built in [year - tau + 1, year], found by bisection: the
+    # cost is O(log n + active cohorts) whatever the payback period
+    years = trajectory._years
+    lo = bisect_left(years, year - payments + 1)
+    hi = bisect_right(years, year, lo)
     total = 0.0
-    for build_year in trajectory.build_years:
-        if not build_year <= year <= build_year + payments - 1:
-            continue
-        net = trajectory.net_addition(build_year)
+    for build_year, net in zip(years[lo:hi], trajectory._net[lo:hi]):
         if net <= 0.0:
             continue
         gap = lcoh(build_year, trajectory, params).total - gas_total
@@ -238,9 +253,8 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     supported = demand_supported_additions(params, pipeline, policy_mt)
     traj = pipeline.with_supported(supported)
     build_years = traj.build_years
-    unit_cost = {y: _cohort_unit_cost(y, traj, params, carbon_pricing)
-                 for y in build_years}
-    net = {y: traj.net_addition(y) for y in build_years}
+    unit_cost = _unit_costs(traj, params, carbon_pricing)
+    net = dict(zip(build_years, traj._net))
     full_cost = sum(net[y] * unit_cost[y] for y in build_years)
     demand_total = sum(supported.values())
 

@@ -19,7 +19,8 @@ from h2gap import (
     lcoh,
     parity_year,
 )
-from h2gap.subsidies import _cohort_unit_cost
+from h2gap.costs import annuity_factor
+from h2gap.subsidies import _unit_costs
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +323,9 @@ def _matches_reference(oracle, cell):
     schedule = cumulative_subsidies(traj, params, carbon, horizon)
     assert dict(zip(schedule.years, schedule.annual_busd)) \
         == pytest.approx(ref.annual(horizon), rel=1e-9, abs=1e-9)
-    unit_costs = ref.unit_costs()
-    assert {y: _cohort_unit_cost(y, traj, params, carbon) for y in unit_costs} \
+    unit_costs = ref.unit_costs()          # the build years with net > 0
+    costs = _unit_costs(traj, params, carbon)
+    assert {y: costs[y] for y in unit_costs} \
         == pytest.approx(unit_costs, rel=1e-9, abs=1e-9)
     years = range(2024, horizon + 1)
     assert [lcoh(y, traj, params).total for y in years] \
@@ -474,30 +476,67 @@ def test_budget_validation(central, pipeline_traj):
 def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, carbon):
     # payment years past the last gas and CO2 anchors are added in closed form
     params = dataclasses.replace(central, payback_period=40.0)
+    costs = _unit_costs(offset_traj, params, carbon)
+    assert list(costs) == offset_traj.build_years
     for year in offset_traj.build_years:
         locked = lcoh(year, offset_traj, params).total
         gaps = sum(max(0.0, locked - gas_cost(t, params, carbon).total)
                    for t in range(year, year + 40))
         expected = params.full_load_hours * params.efficiency.at(year) * gaps * 1e-6
         assert expected > 0.0
-        assert _cohort_unit_cost(year, offset_traj, params, carbon) \
-            == pytest.approx(expected, rel=1e-12)
+        assert costs[year] == pytest.approx(expected, rel=1e-12)
 
 
-def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, monkeypatch):
-    # the gas cost is looked up at most once per year up to the last anchor,
-    # whatever the payback period: a year-by-year loop would run for hours,
-    # and the count stops it after 1000 lookups
+def _budget_gas_lookups(params, pipeline, monkeypatch):
+    """Years whose gas cost one budget call looks up, and the call's result."""
     import h2gap.subsidies
     calls = []
 
     def counting_gas_cost(year, params, carbon_pricing):
         calls.append(year)
-        assert len(calls) <= 1000, "gas cost looked up once per payment year"
         return gas_cost(year, params, carbon_pricing)
 
     monkeypatch.setattr(h2gap.subsidies, "gas_cost", counting_gas_cost)
+    res = capacity_supported_by_budget(100.0, params, False, pipeline)
+    return sorted(calls), res
+
+
+def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, monkeypatch):
+    # one gas lookup per payment year up to 2045, after which gas and CO2 are
+    # flat and added in closed form: a year-by-year loop would never finish
     params = dataclasses.replace(central, payback_period=1e9)
-    res = capacity_supported_by_budget(100.0, params, False, pipeline_traj)
-    assert max(calls) == 2045 and not res.saturated
+    calls, res = _budget_gas_lookups(params, pipeline_traj, monkeypatch)
+    assert calls == list(range(2024, 2046)) and not res.saturated
     assert math.isfinite(res.spent_busd) and res.spent_busd == pytest.approx(100.0)
+
+
+def test_budget_inversion_prices_each_payment_year_once(central, pipeline_traj,
+                                                        monkeypatch):
+    # the bundled 15-year payback: the 2030 cohort pays through 2044, and a
+    # year that several cohorts pay in is still looked up once
+    calls, res = _budget_gas_lookups(central, pipeline_traj, monkeypatch)
+    assert calls == list(range(2024, 2045)) and not res.saturated
+
+
+def test_huge_payback_schedule_is_bounded(central, pipeline_traj):
+    # every cohort pays through 2100 at both paybacks, and the balance-of-plant
+    # annuity r / (1 - (1 + r) ** -n) rounds to r at both, so the schedules
+    # agree bit for bit; a window ranged over the payback years never ends
+    traj = fixtures.median_extended_pipeline(2100).with_supported(
+        demand_supported_additions(central, pipeline_traj))
+    assert annuity_factor(central.cost_of_capital, 1e3) \
+        == annuity_factor(central.cost_of_capital, 1e9)
+    finite, huge = (cumulative_subsidies(
+        traj, dataclasses.replace(central, payback_period=payback), True, 2100)
+        for payback in (1e3, 1e9))
+    assert huge.annual_busd == finite.annual_busd
+
+
+@pytest.mark.parametrize("make", [
+    lambda params, pipe: pipe,
+    lambda params, pipe: fixtures.median_extended_pipeline(2100),
+    lambda params, pipe: pipe.with_supported(demand_supported_additions(params, pipe)),
+], ids=["bundled", "median_extended_2100", "with_supported"])
+def test_net_list_is_net_addition(central, pipeline_traj, make):
+    traj = make(central, pipeline_traj)
+    assert traj._net == [traj.net_addition(y) for y in traj.build_years]
