@@ -36,7 +36,7 @@ _EXPORTS = {
         "load_requirements", "stats",
     ),
     "subsidies": (
-        "BudgetSupportResult", "GasCost", "SubsidySchedule", "annual_subsidies",
+        "BudgetSupportResult", "SubsidySchedule", "annual_subsidies",
         "capacity_supported_by_budget", "cost_gap", "cumulative_subsidies",
         "demand_supported_additions", "gas_cost", "parity_year",
     ),

@@ -71,7 +71,7 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+    return value + 0.0   # -0.0 reads as 0.0
 
 
 def _end_year(text: str) -> int:
@@ -416,7 +416,7 @@ def cmd_gap(args):
     rows = []
     for year in range(FIRST_SUBSIDY_YEAR, args.horizon + 1):
         total = lcoh(year, traj, params).total
-        gas = gas_cost(year, params, carbon).total
+        gas = gas_cost(year, params, carbon)
         rows.append({"year": year, "lcoh": total, "gas_total": gas,
                      "gap": total - gas})
     # the gaps parity_year would compute: its first year with gap <= 0

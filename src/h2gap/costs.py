@@ -16,17 +16,14 @@ installed capacity through component-specific learning rates::
 ``C_t`` denotes global cumulative electrolysis capacity at the *end* of year t
 (additions of year t included).
 
-One subsidy schedule evaluates the LCOH hundreds of times, so each evaluation
-is kept cheap without changing a bit of its result: the records it returns
-(:class:`InvestmentCosts`, :class:`LCOHBreakdown`) are named tuples built
-positionally, a :class:`ParamSet` computes the terms that depend only on
-itself once when it is built, and series lookups are memoised by year.
-
-Each :class:`ParamSet` also memoises :func:`lcoh` in a private dict keyed on
-``(year, C_t, C_base)``. With the set fixed, the year and the learning ratio
-``C_t / C_base`` determine the whole breakdown, and demand-side support does
-not enter it, so trajectories that share those values share entries. The
-records are immutable, and an error is never stored.
+One subsidy schedule asks for the LCOH hundreds of times, so the records
+returned (:class:`InvestmentCosts`, :class:`LCOHBreakdown`) are named tuples,
+series lookups are memoised by year, and each :class:`ParamSet` memoises
+:func:`lcoh` in a private dict keyed on ``(year, C_t, C_base)``. With the set
+fixed, the year and the learning ratio ``C_t / C_base`` determine the whole
+breakdown, and demand-side support does not enter it, so trajectories that
+share those values share entries. The records are immutable, and an error is
+never stored.
 """
 
 from __future__ import annotations
@@ -135,7 +132,7 @@ def annuity_factor(rate: float, years: float) -> float:
 def _number(value) -> float:
     if isinstance(value, bool):   # JSON true/false, which float() reads as 1.0/0.0
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    return float(value) + 0.0   # -0.0 reads as 0.0, never as a negative price
 
 
 def _series(obj) -> TimeAnchoredSeries:
@@ -167,11 +164,10 @@ class ParamSet:
     All prices in 2023US$. Efficiency is the LHV electrolyser efficiency;
     capacity always denotes the electrical input capacity of the electrolyser.
 
-    A set carries two private attributes that are not fields (``fields()``,
-    ``repr`` and ``==`` ignore them): ``_lcoh_constants``, the terms of
-    :func:`lcoh` that depend on the set alone, and ``_lcoh_memo``, the
-    :func:`lcoh` results keyed on (year, cumulative capacity, base capacity).
-    ``dataclasses.replace`` recomputes the first and starts the second empty.
+    A set memoises :func:`lcoh` in a private attribute, ``_lcoh_memo``, keyed
+    on (year, cumulative capacity, base capacity). It is not a field:
+    ``fields()``, ``repr`` and ``==`` ignore it, and ``dataclasses.replace``
+    starts the copy with an empty one.
     """
 
     scenario_id: str
@@ -225,20 +221,7 @@ class ParamSet:
             anchors = getattr(self, name).anchors()
             if min(anchors.values()) < 0.0:
                 raise ValueError(f"{name} anchors must be >= 0, got {anchors}")
-        # lcoh's per-set constants, computed once per set rather than per
-        # call. Not a field: repr, == and fields() ignore it, and
-        # dataclasses.replace() recomputes it through __init__.
-        share, invest = self.stack_share_2023, self.investment_2023
-        object.__setattr__(self, "_lcoh_constants", (
-            share * invest,
-            (1.0 - share) * invest,
-            math.log2(1.0 - self.learning_rate_stack),
-            math.log2(1.0 - self.learning_rate_bop),
-            annuity_factor(self.cost_of_capital, self.payback_period),
-        ))
-        # lcoh's results, keyed on (year, cumulative capacity, base capacity):
-        # with the set, these fix the learning ratio and so the whole
-        # breakdown. Not a field either, and replace() starts an empty one.
+        # lcoh's results: not a field, so replace() starts an empty one
         object.__setattr__(self, "_lcoh_memo", {})
 
     @classmethod
@@ -387,13 +370,13 @@ def investment_costs(year: int, trajectory: CapacityTrajectory,
     the stack share in later years is an output of the two learning curves.
     """
     year = int(year)
-    if year < trajectory.base_year:
-        raise ValueError(f"year {year} is before the base year {trajectory.base_year}")
     c_t = trajectory.cumulative(year)
     ratio = c_t / trajectory.base_capacity_gw
-    stack0, bop0, exp_stack, exp_bop, _ = params._lcoh_constants
-    return InvestmentCosts(year, stack0 * ratio ** exp_stack,
-                           bop0 * ratio ** exp_bop, c_t)
+    share, invest = params.stack_share_2023, params.investment_2023
+    return InvestmentCosts(
+        year, share * invest * ratio ** math.log2(1.0 - params.learning_rate_stack),
+        (1.0 - share) * invest * ratio ** math.log2(1.0 - params.learning_rate_bop),
+        c_t)
 
 
 class LCOHBreakdown(NamedTuple):
@@ -405,11 +388,8 @@ class LCOHBreakdown(NamedTuple):
     transport_storage: float
     # inputs used, for reporting
     efficiency: float
-    full_load_hours: float
     investment_stack: float        # $/kW
     investment_bop: float          # $/kW
-    annuity_stack: float           # 1/yr
-    annuity_bop: float             # 1/yr
 
     @property
     def total(self) -> float:
@@ -434,7 +414,7 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
         return breakdown
     inv = investment_costs(year, trajectory, params)
     eta = params.efficiency.at(year)
-    a_bop = params._lcoh_constants[4]
+    a_bop = annuity_factor(params.cost_of_capital, params.payback_period)
     a_stack = annuity_factor(params.cost_of_capital, params.stack_lifetime.at(year))
     flh = params.full_load_hours
     # $/kW / (h/yr) = $/kWh -> *1000 to $/MWh (electrical), /eta to $/MWh H2
@@ -442,6 +422,6 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     stack_cap = (a_stack + params.fom_share) * inv.stack / flh * 1000.0 / eta
     breakdown = LCOHBreakdown(year, params.electricity_price.at(year) / eta,
                               stack_cap, bop_cap, params.transport_storage, eta,
-                              flh, inv.stack, inv.balance_of_plant, a_stack, a_bop)
+                              inv.stack, inv.balance_of_plant)
     params._lcoh_memo[key] = breakdown
     return breakdown

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from itertools import accumulate
+from typing import Mapping
 
 from .costs import CapacityTrajectory, ParamSet, lcoh
 from .units import DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, production_to_capacity
 
 __all__ = [
-    "GasCost", "SubsidySchedule", "BudgetSupportResult",
+    "SubsidySchedule", "BudgetSupportResult",
     "gas_cost", "cost_gap", "parity_year", "demand_supported_additions",
     "annual_subsidies", "cumulative_subsidies", "capacity_supported_by_budget",
 ]
@@ -33,35 +34,21 @@ __all__ = [
 POLICY_WINDOW = (2024, 2030)   # years across which demand-side support is spread
 
 
-class GasCost(NamedTuple):
-    """Total cost of natural gas per MWh: fuel plus (optional) carbon cost.
-
-    A named tuple, like the cost records of :mod:`h2gap.costs`: one schedule
-    builds hundreds of them.
-    """
-    year: int
-    fuel: float
-    co2_component: float
-
-    @property
-    def total(self) -> float:
-        return self.fuel + self.co2_component
-
-
-def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> GasCost:
-    """Gas cost in ``year``; the CO2 component is emission intensity x CO2 price."""
+def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> float:
+    """Total gas cost in ``year`` ($/MWh): the fuel price plus, with carbon
+    pricing, the emission intensity times the CO2 price."""
     if year < FIRST_SUBSIDY_YEAR:
         raise ValueError(f"gas cost is defined from {FIRST_SUBSIDY_YEAR} onwards, "
                          f"got {year}")
     fuel = params.gas_price.at(year)
     co2 = params.emission_intensity * params.co2_price.at(year) if carbon_pricing else 0.0
-    return GasCost(int(year), fuel, co2)
+    return fuel + co2
 
 
 def cost_gap(year: int, trajectory: CapacityTrajectory, params: ParamSet,
              carbon_pricing: bool) -> float:
     """Signed LCOH-minus-gas gap in $/MWh; negative once parity is passed."""
-    return lcoh(year, trajectory, params).total - gas_cost(year, params, carbon_pricing).total
+    return lcoh(year, trajectory, params).total - gas_cost(year, params, carbon_pricing)
 
 
 def parity_year(trajectory: CapacityTrajectory, params: ParamSet,
@@ -124,7 +111,7 @@ def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
         gaps = []
         for t in range(build_year, last + 1):
             if t not in gas:
-                gas[t] = gas_cost(t, params, carbon_pricing).total
+                gas[t] = gas_cost(t, params, carbon_pricing)
             gaps.append(max(0.0, locked_lcoh - gas[t]))
         total_gap = sum(gaps) + (final - last) * gaps[-1]
         # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
@@ -144,7 +131,7 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
     if year < FIRST_SUBSIDY_YEAR:
         raise ValueError(f"subsidies are defined from {FIRST_SUBSIDY_YEAR}, got {year}")
     payments = _payback_payments(params)
-    gas_total = gas_cost(year, params, carbon_pricing).total
+    gas_total = gas_cost(year, params, carbon_pricing)
     # the cohorts built in [year - tau + 1, year], found by bisection: the
     # cost is O(log n + active cohorts) whatever the payback period
     years = trajectory._years
@@ -167,16 +154,22 @@ class SubsidySchedule:
     """Annual and cumulative subsidy requirements ($bn) over a horizon."""
     scenario_id: str
     carbon_pricing: bool
-    through_year: int
     years: tuple[int, ...]
     annual_busd: tuple[float, ...]
     cumulative_busd: tuple[float, ...]
 
     def annual(self, year: int) -> float:
-        return self.annual_busd[self.years.index(year)]
+        return self.annual_busd[self._index(year)]
 
     def cumulative(self, year: int) -> float:
-        return self.cumulative_busd[self.years.index(year)]
+        return self.cumulative_busd[self._index(year)]
+
+    def _index(self, year: int) -> int:
+        try:
+            return self.years.index(year)
+        except ValueError:
+            raise ValueError(f"year {year} is outside the schedule's years "
+                             f"{self.years[0]}-{self.years[-1]}") from None
 
     @property
     def total_busd(self) -> float:
@@ -200,14 +193,9 @@ def cumulative_subsidies(trajectory: CapacityTrajectory, params: ParamSet,
     years = tuple(range(FIRST_SUBSIDY_YEAR, through_year + 1))
     annual = tuple(annual_subsidies(y, trajectory, params, carbon_pricing)
                    for y in years)
-    running, cumulative = 0.0, []
-    for a in annual:
-        running += a
-        cumulative.append(running)
     return SubsidySchedule(scenario_id=params.scenario_id,
-                           carbon_pricing=carbon_pricing,
-                           through_year=through_year, years=years,
-                           annual_busd=annual, cumulative_busd=tuple(cumulative))
+                           carbon_pricing=carbon_pricing, years=years,
+                           annual_busd=annual, cumulative_busd=tuple(accumulate(annual)))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ INPUTS = {
     "params_negative_co2.json": _params(co2_usd_per_t={"2024": -117}),
     "params_zero_prices.json": _params(electricity_usd_per_mwh={"2024": 0},
                                        co2_usd_per_t={"2024": 0}),
+    "params_negative_zero.json": _params(electricity_usd_per_mwh={"2024": -0.0},
+                                         transport_storage_usd_per_mwh=-0.0),
     "params_dict_scenario.json": _params(scenario_id={"a": 1}),
     "params_number_scenario.json": _params(scenario_id=7),
     "params_boolean.json": _params(full_load_hours=True),
@@ -207,7 +209,7 @@ ERROR_LINES = [
                    "params_late_anchor", "params_negative_fom",
                    "params_negative_transport", "params_negative_intensity",
                    "params_negative_electricity", "params_negative_gas",
-                   "params_negative_co2", "params_zero_prices",
+                   "params_negative_co2", "params_zero_prices", "params_negative_zero",
                    "params_dict_scenario", "params_number_scenario",
                    "params_boolean", "params_series_value", "params_series_key",
                    "params_list", "params_series_year_twice", "params_key_twice")),
@@ -226,6 +228,7 @@ ERROR_LINES = [
     ["support"],
     ["support", "--budget", "nan"],
     ["support", "--budget", "-1"],
+    ["support", "--budget", "-0.0"],
     ["support", "--budget", "lots"],
     ["lcoh", "--policy-mt", "inf"],
     ["subsidies", "--policy-mt", "inf"],

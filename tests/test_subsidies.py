@@ -28,14 +28,15 @@ from h2gap.subsidies import _unit_costs
 # ---------------------------------------------------------------------------
 
 def test_gas_price_without_carbon(central):
-    assert gas_cost(2024, central, carbon_pricing=False).total == pytest.approx(19.0)
-    assert gas_cost(2035, central, carbon_pricing=False).total == pytest.approx(22.0)
+    assert gas_cost(2024, central, carbon_pricing=False) == pytest.approx(19.0)
+    assert gas_cost(2035, central, carbon_pricing=False) == pytest.approx(22.0)
 
 
 def test_carbon_component_is_intensity_times_price(central):
     g = gas_cost(2030, central, carbon_pricing=True)
-    assert g.co2_component == pytest.approx(0.265 * 149.0)
-    assert g.total == pytest.approx(22.0 + 0.265 * 149.0)
+    assert g - gas_cost(2030, central, carbon_pricing=False) \
+        == pytest.approx(0.265 * 149.0)
+    assert g == pytest.approx(22.0 + 0.265 * 149.0)
 
 
 def test_zero_carbon_price_equals_flag_off(central, pipeline_traj):
@@ -57,7 +58,7 @@ def test_gas_cost_before_window_is_error(central):
 def test_gap_is_lcoh_minus_gas(central, pipeline_traj):
     for year, carbon in ((2024, False), (2030, True)):
         expected = lcoh(year, pipeline_traj, central).total \
-            - gas_cost(year, central, carbon).total
+            - gas_cost(year, central, carbon)
         assert cost_gap(year, pipeline_traj, central, carbon) \
             == pytest.approx(expected, abs=1e-12)
 
@@ -166,7 +167,7 @@ def test_lcoh_locked_at_build_year(central, pipeline_traj):
     # the 2024 cohort keeps paying 2024-vintage costs against later gas prices
     lcoh_2024 = lcoh(2024, pipeline_traj, central).total
     expected = pipeline_traj.addition(2024) * 3750.0 * central.efficiency.at(2024) \
-        * (lcoh_2024 - gas_cost(2026, central, False).total) * 1e-6
+        * (lcoh_2024 - gas_cost(2026, central, False)) * 1e-6
     only_2024 = CapacityTrajectory(2023, 1.86, {2024: pipeline_traj.addition(2024)})
     got = annual_subsidies(2026, only_2024, central, False)
     # same cumulative capacity in 2024, so same locked LCOH
@@ -233,6 +234,16 @@ def test_peak_reporting(central, offset_traj):
     year, value = schedule.peak()
     assert value == max(schedule.annual_busd)
     assert schedule.annual(year) == value
+
+
+@pytest.mark.parametrize("lookup", ["annual", "cumulative"])
+@pytest.mark.parametrize("year", [2023, 2031, 2045])
+def test_schedule_lookup_outside_its_years_names_the_year(central, offset_traj,
+                                                           lookup, year):
+    schedule = cumulative_subsidies(offset_traj, central, False, 2030)
+    with pytest.raises(ValueError, match=rf"^year {year} is outside the "
+                                         r"schedule's years 2024-2030$"):
+        getattr(schedule, lookup)(year)
 
 
 @pytest.mark.parametrize("horizon, lcoh_calls, payment_years",
@@ -480,7 +491,7 @@ def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, c
     assert list(costs) == offset_traj.build_years
     for year in offset_traj.build_years:
         locked = lcoh(year, offset_traj, params).total
-        gaps = sum(max(0.0, locked - gas_cost(t, params, carbon).total)
+        gaps = sum(max(0.0, locked - gas_cost(t, params, carbon))
                    for t in range(year, year + 40))
         expected = params.full_load_hours * params.efficiency.at(year) * gaps * 1e-6
         assert expected > 0.0
