@@ -66,7 +66,7 @@ class TimeAnchoredSeries:
         if len(years) != len(set(years)):
             raise ValueError("anchor years must be unique")
         self._years = [float(y) for y in years]
-        self._values = [float(anchors[y]) for y in years]
+        self._values = [float(anchors[y]) + 0.0 for y in years]   # -0.0 enters as 0.0
         if not all(math.isfinite(v) for v in self._values):
             raise ValueError(f"series values must be finite, got {anchors!r}")
         xs, ys = self._years, self._values
@@ -120,9 +120,9 @@ def annuity_factor(rate: float, years: float) -> float:
     At r = 0 the limit 1/n is returned. ``years`` may be fractional (the
     stack lifetime is interpolated in time).
     """
-    if years < 1.0:
+    if not years >= 1.0:
         raise ValueError(f"annuity period must be >= 1 year, got {years}")
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValueError(f"cost of capital must be >= 0, got {rate}")
     if rate == 0.0:
         return 1.0 / years
@@ -132,7 +132,7 @@ def annuity_factor(rate: float, years: float) -> float:
 def _number(value) -> float:
     if isinstance(value, bool):   # JSON true/false, which float() reads as 1.0/0.0
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value) + 0.0   # -0.0 reads as 0.0, never as a negative price
+    return float(value)
 
 
 def _series(obj) -> TimeAnchoredSeries:
@@ -196,9 +196,11 @@ class ParamSet:
         # getattr, not vars(): a materialised __dict__ slows every later field read
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-            if isinstance(value, TimeAnchoredSeries) and \
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, value + 0.0)   # -0.0 enters as 0.0
+            elif isinstance(value, TimeAnchoredSeries) and \
                     value.first_year > FIRST_SUBSIDY_YEAR:
                 raise ValueError(f"{f.name} must have an anchor by "
                                  f"{FIRST_SUBSIDY_YEAR}, got first anchor "
@@ -295,8 +297,8 @@ class CapacityTrajectory:
             if not 0.0 <= v < math.inf:
                 raise ValueError(f"capacity addition in {y} must be finite and >= 0")
         for y, v in sup.items():
-            if v < 0.0:
-                raise ValueError(f"negative supported capacity in {y}")
+            if not v >= 0.0:
+                raise ValueError(f"supported capacity in {y} must be >= 0, got {v}")
             if v > adds.get(y, 0.0) + 1e-9:
                 raise ValueError(
                     f"supported capacity exceeds additions in {y}: {v} > {adds.get(y, 0.0)}")

@@ -97,7 +97,6 @@ def load_pipeline(path) -> CapacityTrajectory:
                         f"{year}", line=lines[year])
     if len(rows) < 2:
         raise ValueError(f"{path}: need a base year plus at least one addition year")
-    base_year = min(rows)
     base = rows.pop(base_year)
     return CapacityTrajectory(base_year=base_year, base_capacity_gw=base,
                               additions_gw=rows)

@@ -489,8 +489,6 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
 
     def add_flow(stage_from: int, label_from: str, stage_to: int, label_to: str,
                  mw: float) -> None:
-        if mw <= 0.0:
-            return
         key = (stage_from, label_from, stage_to, label_to)
         flow_acc[key] = flow_acc.get(key, 0.0) + mw / 1000.0
 

@@ -71,8 +71,6 @@ def demand_supported_additions(params: ParamSet, pipeline: CapacityTrajectory,
     is spread across the 2024-2030 build years proportionally to the
     pipeline's annual additions.
     """
-    if policy_mt < 0.0:
-        raise ValueError(f"policy volume must be >= 0, got {policy_mt}")
     years = [y for y in pipeline.build_years
              if POLICY_WINDOW[0] <= y <= POLICY_WINDOW[1]]
     if policy_mt == 0.0:
@@ -128,8 +126,6 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
     LCOH stays locked at the build year while the gas reference follows the
     payment year.
     """
-    if year < FIRST_SUBSIDY_YEAR:
-        raise ValueError(f"subsidies are defined from {FIRST_SUBSIDY_YEAR}, got {year}")
     payments = _payback_payments(params)
     gas_total = gas_cost(year, params, carbon_pricing)
     # the cohorts built in [year - tau + 1, year], found by bisection: the
@@ -152,8 +148,6 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
 @dataclass(frozen=True)
 class SubsidySchedule:
     """Annual and cumulative subsidy requirements ($bn) over a horizon."""
-    scenario_id: str
-    carbon_pricing: bool
     years: tuple[int, ...]
     annual_busd: tuple[float, ...]
     cumulative_busd: tuple[float, ...]
@@ -193,9 +187,8 @@ def cumulative_subsidies(trajectory: CapacityTrajectory, params: ParamSet,
     years = tuple(range(FIRST_SUBSIDY_YEAR, through_year + 1))
     annual = tuple(annual_subsidies(y, trajectory, params, carbon_pricing)
                    for y in years)
-    return SubsidySchedule(scenario_id=params.scenario_id,
-                           carbon_pricing=carbon_pricing, years=years,
-                           annual_busd=annual, cumulative_busd=tuple(accumulate(annual)))
+    return SubsidySchedule(years=years, annual_busd=annual,
+                           cumulative_busd=tuple(accumulate(annual)))
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     budget at or above the full-pipeline requirement returns the whole
     pipeline with ``saturated=True``.
     """
-    if budget_busd < 0.0:
+    if not budget_busd >= 0.0:
         raise ValueError(f"budget must be >= 0, got {budget_busd}")
     if allocation not in ("chronological", "uniform"):
         raise ValueError(f"allocation must be chronological or uniform, "
@@ -261,9 +254,7 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
                 per_year[y] = net[y]
                 remaining -= cost
             else:
-                if unit_cost[y] > 0.0:
-                    per_year[y] = remaining / unit_cost[y]
-                remaining = 0.0
+                per_year[y] = remaining / unit_cost[y]
                 break
     else:
         lam = budget_busd / full_cost   # full_cost > budget >= 0 here

@@ -116,7 +116,7 @@ def production_to_capacity(mass_mt_per_yr: float, full_load_hours: float,
     ``mass * LHV / (full_load_hours * efficiency)``.
     """
     _check_flh_eta(full_load_hours, efficiency)
-    if mass_mt_per_yr < 0.0:
+    if not mass_mt_per_yr >= 0.0:
         raise ValueError(f"mass flow must be non-negative, got {mass_mt_per_yr}")
     # Mt/yr -> 1e9 kg/yr; kWh -> GW via 1e6 kW/GW
     return mass_mt_per_yr * LHV_KWH_PER_KG * 1e3 / (full_load_hours * efficiency)
@@ -129,6 +129,6 @@ def capacity_to_production(capacity_gw: float, full_load_hours: float,
     Exact inverse of :func:`production_to_capacity`.
     """
     _check_flh_eta(full_load_hours, efficiency)
-    if capacity_gw < 0.0:
+    if not capacity_gw >= 0.0:
         raise ValueError(f"capacity must be non-negative, got {capacity_gw}")
     return capacity_gw * full_load_hours * efficiency / (LHV_KWH_PER_KG * 1e3)

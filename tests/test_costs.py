@@ -74,6 +74,11 @@ def test_memoised_lookups_equal_a_fresh_series():
         assert s.at(year) == TimeAnchoredSeries(anchors).at(year)
 
 
+def test_series_rejects_two_anchors_in_one_year():
+    with pytest.raises(ValueError, match="^anchor years must be unique$"):
+        TimeAnchoredSeries({2024: 1.0, 2024.5: 2.0})   # int() maps both to 2024
+
+
 def test_nan_year_raises_and_is_not_memoised():
     # bisect puts nan past every anchor, so an unguarded lookup would
     # return the last value and store one memo entry per nan object
@@ -115,6 +120,7 @@ def test_cumulative_is_end_of_year():
     assert traj.cumulative(2024) == pytest.approx(11.86)
     assert traj.cumulative(2025) == pytest.approx(31.86)
     assert traj.cumulative(2030) == pytest.approx(31.86)  # flat after last addition
+    assert traj.addition(2030) == traj.supported(2030) == traj.net_addition(2030) == 0.0
 
 
 def test_cumulative_equals_summing_the_additions(pipeline_traj, extended_traj):
@@ -141,6 +147,18 @@ def test_trajectory_validation():
         CapacityTrajectory(2023, 0.0, {2024: 5.0})
     with pytest.raises(ValueError):
         CapacityTrajectory(2023, 1.86, {2024: 5.0}, supported_gw={2024: 6.0})
+    with pytest.raises(ValueError, match="supported capacity in 2024 must be >= 0"):
+        CapacityTrajectory(2023, 1.86, {2024: 5.0}, supported_gw={2024: -1.0})
+    with pytest.raises(ValueError, match="base capacity must be positive and finite"):
+        CapacityTrajectory(2023, math.inf, {2024: 5.0})
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        CapacityTrajectory(2023, 1.86, {2024: math.inf})
+    # supported capacity may exceed the additions by rounding, not by more
+    CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2024: 0.1 + 0.2})
+    with pytest.raises(ValueError, match="exceeds additions"):
+        CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2024: 0.3 + 1e-8})
+    with pytest.raises(ValueError, match="exceeds additions in 2025"):   # no 2025 row
+        CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2025: 0.5})
     traj = CapacityTrajectory(2023, 1.86, {2024: 5.0})
     with pytest.raises(ValueError):
         traj.cumulative(2022)
@@ -206,6 +224,31 @@ def test_sensitivity_sets_inside_published_ranges(central, progressive, conserva
     # carbon price sensitivity is +-20% of the central path
     assert progressive.co2_price.at(2030) == pytest.approx(1.2 * 149.0)
     assert conservative.co2_price.at(2030) == pytest.approx(0.8 * 149.0)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    *((name, value, rf"^{name} must be in \(0, 1\), got {value}$")
+      for name in ("stack_share_2023", "learning_rate_stack", "learning_rate_bop")
+      for value in (0.0, 1.0, 1.5)),
+    ("cost_of_capital", 0.0, "^cost of capital must be positive$"),
+    ("cost_of_capital", -0.05, "^cost of capital must be positive$"),
+])
+def test_param_set_bounds(central, name, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(central, **{name: value})
+
+
+def test_builtin_names_a_bundled_set():
+    with pytest.raises(ValueError, match="^unknown scenario 'bogus', expected one of"):
+        ParamSet.builtin("bogus")
+
+
+def test_negative_zero_enters_a_set_as_zero(pipeline_traj, central):
+    params = dataclasses.replace(central, transport_storage=-0.0,
+                                 electricity_price=TimeAnchoredSeries({2024: -0.0}))
+    breakdown = lcoh(2030, pipeline_traj, params)
+    assert breakdown.electricity == breakdown.transport_storage == 0.0
+    assert all(math.copysign(1.0, value) == 1.0 for value in breakdown)
 
 
 def test_from_dict_missing_key():

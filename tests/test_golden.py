@@ -119,6 +119,11 @@ INPUTS = {
     "params_list.json": json.dumps([json.loads(_bundled("params_central.json"))]).encode(),
     "params_series_year_twice.json": _params(gas_usd_per_mwh={"2024": 19.0, "02024": 500.0}),
     "params_key_twice.json": _params()[:-1] + b', "full_load_hours": 5000}',
+    # a 2022-cohort project grows between vintages, one shrinks
+    "snap_grow_2021.csv": (SNAPSHOT_HEADER + "A,one,DEU,Europe,Concept,2022,100,false\n"
+                           "B,two,DEU,Europe,FID,2022,200,false\n").encode(),
+    "snap_grow_2022.csv": (SNAPSHOT_HEADER + "A,one,DEU,Europe,FID,2022,150,false\n"
+                           "B,two,DEU,Europe,Operational,2022,120,false\n").encode(),
     "blocker": b"",
 }
 
@@ -249,6 +254,9 @@ ERROR_LINES = [
     ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/nodigits.csv", "--target-year", "2021"],
     ["ambition", "--year", "2035"],
     ["ambition", "--snapshot", "<TMP>/absent.csv"],
+    # capacity_increased flows, which the bundled snapshots never book
+    *(["track", "--snapshots", "<TMP>/snap_grow_2021.csv,<TMP>/snap_grow_2022.csv",
+       "--target-year", "2022", "--format", fmt] for fmt in FORMATS),
 ]
 
 

@@ -51,6 +51,9 @@ def _run(argv: list[str], tmp_path: Path) -> str:
     ("import h2gap.cli", {"h2gap", "h2gap.cli", "h2gap.units"}),
     ("import h2gap.units", {"h2gap", "h2gap.units"}),
     ("import h2gap.scenarios", {"h2gap", "h2gap.scenarios", "h2gap.units"}),
+    # a submodule and an export, each read as an attribute of the package
+    ("import h2gap\ncosts = h2gap.costs\nassert h2gap.lcoh is costs.lcoh",
+     {"h2gap", "h2gap.costs", "h2gap.units"}),
 ])
 def test_import_loads_only_what_it_names(tmp_path, statement, package):
     assert _package(_modules_loaded_by(statement, tmp_path)) == package

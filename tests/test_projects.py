@@ -72,11 +72,24 @@ def test_malformed_rows_reported_with_line_numbers(tmp_path):
                     + "A,ok,DEU,Europe,Concept,2024,10,false\n"      # line 2
                     + "B,badcap,DEU,Europe,Concept,2024,lots,false\n"  # line 3
                     + "C,badstatus,DEU,Europe,Mystery,2024,10,false\n"  # line 4
-                    + "D,badyear,DEU,Europe,Concept,soon,10,false\n")   # line 5
+                    + "D,badyear,DEU,Europe,Concept,soon,10,false\n"   # line 5
+                    + " ,noref,DEU,Europe,Concept,2024,10,false\n")     # line 6
     with pytest.raises(SnapshotDataError) as exc:
         load_snapshot(path, 2023)
     lines = [ln for ln, _ in exc.value.row_errors]
-    assert lines == [3, 4, 5]
+    assert lines == [3, 4, 5, 6]
+    assert exc.value.row_errors[-1] == (6, "empty ref_id")
+
+
+def test_blank_launch_year_or_capacity_is_dropped_not_an_error(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(HEADER
+                    + "A,ok,DEU,Europe,Concept,2024,10,false\n"
+                    + "B,noyear,DEU,Europe,Concept,  ,10,false\n"
+                    + "C,nocap,DEU,Europe,Concept,2024, ,false\n")
+    report = load_snapshot(path, 2023).load_report
+    assert report == LoadReport(kept=1, dropped=2, dropped_reasons={
+        "missing_launch_year": 1, "missing_capacity": 1})
 
 
 def test_repeated_bad_values_each_keep_their_row_error(tmp_path):
@@ -483,6 +496,13 @@ def test_equal_thirds_fixture():
     assert tuple(rates.total) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
+def test_fates_without_capacity_have_no_shares():
+    fates = (projects.ProjectFate("A", "one", Status.CONCEPT, Fate.DISAPPEARED, 0.0),)
+    report = projects.TransitionReport(2022, 2021, 2023, fates, announced_mw=0.0)
+    with pytest.raises(ValueError, match="^no announced capacity to compute fate shares$"):
+        fate_rates(report)
+
+
 def test_empty_cohort_is_error():
     empty = track([Snapshot(2021, []), Snapshot(2022, []), Snapshot(2023, [])], 2022)
     with pytest.raises(ValueError,
@@ -568,6 +588,17 @@ def test_bundled_sankey_stage_totals(snapshots):
 def test_bundled_sankey_conserves_internal_nodes(snapshots):
     sankey = sankey_flows(snapshots, 2022)
     assert sankey.node_balance_errors(tol_gw=1e-9) == []
+
+
+def test_node_balance_errors_name_an_unbalanced_status_node():
+    # stage 1's node receives 1 GW and passes none on; stage 0 is a source
+    sankey = projects.SankeyData(
+        2022, ("2021", "2022", "outcome"),
+        nodes=(projects.SankeyNode(0, "Concept", 1.0),
+               projects.SankeyNode(1, "FID_Construction", 1.0)),
+        flows=(projects.SankeyFlow(0, "Concept", 1, "FID_Construction", 1.0),))
+    assert sankey.node_balance_errors() == [
+        "stage 1 FID_Construction: in 1.0 != out 0.0"]
 
 
 def test_single_project_straight_through():

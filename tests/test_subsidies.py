@@ -21,6 +21,7 @@ from h2gap import (
 )
 from h2gap.costs import annuity_factor
 from h2gap.subsidies import _unit_costs
+from h2gap.units import capacity_to_production, production_to_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,10 @@ def test_zero_carbon_price_equals_flag_off(central, pipeline_traj):
 def test_gas_cost_before_window_is_error(central):
     with pytest.raises(ValueError):
         gas_cost(2023, central, carbon_pricing=False)
+    # a gas series that starts earlier does not extend the window
+    early = dataclasses.replace(central, gas_price=TimeAnchoredSeries({2020: 19.0}))
+    with pytest.raises(ValueError, match="defined from 2024 onwards, got 2023"):
+        gas_cost(2023, early, carbon_pricing=False)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +82,33 @@ def test_parity_years_on_bundled_trajectory(central, progressive, conservative,
     assert parity_year(extended_traj, conservative, True, 2045) is None
 
 
+def test_parity_is_the_first_year_without_a_positive_gap():
+    toy = _toy_params()
+    traj = CapacityTrajectory(2023, 1.86, {2024: 1.0})
+    flat = lcoh(2024, traj, toy).total      # no capex: the same LCOH every year
+    at_par = dataclasses.replace(toy, gas_price=TimeAnchoredSeries({2024: flat}))
+    assert cost_gap(2030, traj, at_par, False) == 0.0
+    assert parity_year(traj, at_par, False, 2030) == 2024
+    below = dataclasses.replace(
+        toy, gas_price=TimeAnchoredSeries({2024: math.nextafter(flat, 0.0)}))
+    assert parity_year(traj, below, False, 2030) is None
+
+
 def test_parity_respects_horizon(central, extended_traj):
     assert parity_year(extended_traj, central, True, 2040) is None
+    # parity falls in 2043: a horizon one year short must not find it
+    assert parity_year(extended_traj, central, True, 2042) is None
+    assert parity_year(extended_traj, central, True, 2043) == 2043
+
+
+@pytest.mark.parametrize("first_years", [
+    lambda traj, params, horizon: parity_year(traj, params, True, horizon),
+    lambda traj, params, horizon: cumulative_subsidies(traj, params, True, horizon).years,
+], ids=["parity_year", "cumulative_subsidies"])
+def test_horizon_starts_in_2024(central, pipeline_traj, first_years):
+    with pytest.raises(ValueError, match="must be >= 2024"):
+        first_years(pipeline_traj, central, 2023)
+    assert first_years(pipeline_traj, central, 2024) in (None, (2024,))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +141,10 @@ def test_offset_proportional_to_additions(central):
 def test_offset_larger_than_pipeline_is_error(central, pipeline_traj):
     with pytest.raises(ValueError, match="exceeds"):
         demand_supported_additions(central, pipeline_traj, policy_mt=50.0)
+    # a policy that carries the whole window pipeline does not exceed it
+    total = production_to_capacity(7.0, central.full_load_hours, central.efficiency.at(2030))
+    exact = CapacityTrajectory(2023, 1.86, {2024: total})
+    assert demand_supported_additions(central, exact, policy_mt=7.0) == {2024: total}
 
 
 def test_supported_never_exceeds_additions(central, pipeline_traj, offset_traj):
@@ -473,6 +507,37 @@ def test_chronological_fills_early_years_first(central, pipeline_traj, offset_tr
             continue
         if state == "tail":
             assert got == 0.0
+
+
+def test_chronological_fill_stops_at_the_first_cohort_it_cannot_pay(central):
+    # after the 2026 cohort only part of it is paid for, and no later cohort
+    # is funded, not even the 2043-2050 ones whose gap costs nothing
+    pipe = fixtures.median_extended_pipeline(2050)
+    res = capacity_supported_by_budget(300.0, central, True, pipe)
+    traj = pipe.with_supported(demand_supported_additions(central, pipe))
+    unit = _unit_costs(traj, central, True)
+    assert all(unit[y] == 0.0 for y in range(2043, 2051))
+    assert 0.0 < res.per_year_gw[2026] < traj.net_addition(2026)
+    assert all(res.per_year_gw[y] == 0.0 for y in range(2027, 2051))
+    assert res.spent_busd == pytest.approx(300.0, rel=1e-12)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, pipe: annuity_factor(NAN, 10),
+    lambda p, pipe: annuity_factor(0.05, NAN),
+    lambda p, pipe: production_to_capacity(NAN, 3750, 0.7),
+    lambda p, pipe: capacity_to_production(NAN, 3750, 0.7),
+    lambda p, pipe: CapacityTrajectory(2023, 1.86, {2024: 5.0}, {2024: NAN}),
+    lambda p, pipe: demand_supported_additions(p, pipe, NAN),
+    lambda p, pipe: capacity_supported_by_budget(NAN, p, False, pipe),
+], ids=["annuity-rate", "annuity-years", "production_to_capacity",
+        "capacity_to_production", "supported", "policy", "budget"])
+def test_nan_inputs_raise(central, pipeline_traj, call):
+    with pytest.raises(ValueError):
+        call(central, pipeline_traj)
 
 
 def test_budget_validation(central, pipeline_traj):
