@@ -62,11 +62,13 @@ class TimeAnchoredSeries:
     def __init__(self, anchors: Mapping[int, float]):
         if not anchors:
             raise ValueError("series needs at least one anchor")
-        years = sorted(int(y) for y in anchors)
+        # one (year, value) pair per anchor; -0.0 enters as 0.0
+        pairs = sorted((int(y), float(v) + 0.0) for y, v in anchors.items())
+        years = [y for y, _ in pairs]
         if len(years) != len(set(years)):
             raise ValueError("anchor years must be unique")
         self._years = [float(y) for y in years]
-        self._values = [float(anchors[y]) + 0.0 for y in years]   # -0.0 enters as 0.0
+        self._values = [v for _, v in pairs]
         if not all(math.isfinite(v) for v in self._values):
             raise ValueError(f"series values must be finite, got {anchors!r}")
         xs, ys = self._years, self._values

@@ -79,6 +79,13 @@ def test_series_rejects_two_anchors_in_one_year():
         TimeAnchoredSeries({2024: 1.0, 2024.5: 2.0})   # int() maps both to 2024
 
 
+@pytest.mark.parametrize("key", [2024.5, "2024", 2024.0])
+def test_series_takes_any_key_int_accepts(key):
+    # each value goes with its own key, not looked up again by int(key)
+    s = TimeAnchoredSeries({key: 1.5, 2030: 3.0})
+    assert s.anchors() == {2024: 1.5, 2030: 3.0}
+
+
 def test_nan_year_raises_and_is_not_memoised():
     # bisect puts nan past every anchor, so an unguarded lookup would
     # return the last value and store one memo entry per nan object
@@ -157,7 +164,8 @@ def test_trajectory_validation():
     CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2024: 0.1 + 0.2})
     with pytest.raises(ValueError, match="exceeds additions"):
         CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2024: 0.3 + 1e-8})
-    with pytest.raises(ValueError, match="exceeds additions in 2025"):   # no 2025 row
+    # no 2025 row: the message gives its additions as 0.0
+    with pytest.raises(ValueError, match=r"exceeds additions in 2025: 0\.5 > 0\.0$"):
         CapacityTrajectory(2023, 1.86, {2024: 0.3}, supported_gw={2025: 0.5})
     traj = CapacityTrajectory(2023, 1.86, {2024: 5.0})
     with pytest.raises(ValueError):

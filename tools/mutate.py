@@ -1,32 +1,34 @@
-"""Mutation pass: which one-site changes to the source does the test suite miss?
+"""Mutation pass: which one-node changes to the source does the test suite miss?
 
 Run from the repository root::
 
     python3 tools/mutate.py --kind statements src/h2gap/*.py
     python3 tools/mutate.py --kind operators src/h2gap/costs.py src/h2gap/subsidies.py
 
-Two kinds of mutant, each changing one site inside a function body:
+Two kinds of mutant, each changing one node inside a function body:
 
 ``statements``
     one statement replaced by ``pass`` (a docstring is not a statement here);
 ``operators``
     one flip of ``<``/``<=``, ``>``/``>=``, ``+``/``-`` or ``*``/``/`` (the
     augmented assignments ``+=``/``-=`` and ``*=``/``/=`` included), or one
-    numeric constant plus 1; nothing inside an f-string, whose parts Python
-    3.11 misplaces.
+    numeric constant plus 1.
 
-Every mutant is written into a copy of the repository under a temporary
-directory; the working tree is never touched. A mutant runs the stages in
+A mutant is the module's syntax tree with that one node changed, written out
+by ``ast.unparse``; the unmutated baseline is the same module unparsed, so the
+two differ in that node only. Every mutant is written into a copy of the
+repository under a temporary directory; the working tree is never touched.
+As many copies as the host has CPUs run at once. A mutant runs the stages in
 order and is killed by the first that fails or times out, so each stage runs
 ``pytest -x``. The stages are tier-1 without ``tests/test_bench_selftest.py``
 and then all of tier-1: most mutants die in the first, and only its survivors
-pay for the benchmark's own unit tests. ``--root`` copies another checkout
-instead, such as the parent commit, to compare its survivors.
-Before any mutant, the unmutated copy must pass every stage; each stage's
-timeout is five times its baseline time, and at least a minute.
+pay for the benchmark's own unit tests. Before any mutant, the baseline must
+pass every stage; each stage's timeout is five times its baseline time, and at
+least a minute.
 
-The survivors print to stdout, one ``file:line kind detail (col N)`` a
-line, and the progress and a per-file tally to stderr. It takes minutes to hours, so it is
+The survivors print to stdout, one ``file:line kind detail (col N)`` a line,
+at the line and column of the changed node in the original source, and the
+progress and a per-file tally to stderr. It takes minutes to hours, so it is
 not part of tier-1; its own test is ``python3 -m unittest discover -s tools``.
 """
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import io
 import os
 import shlex
 import shutil
@@ -43,14 +44,13 @@ import subprocess
 import sys
 import tempfile
 import time
-import tokenize
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from queue import Queue
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+JOBS = os.cpu_count() or 1    # scratch copies tested at once
 _PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
 DEFAULT_STAGES = (
@@ -60,156 +60,113 @@ DEFAULT_STAGES = (
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".benchmarks", ".work", "h2gap_out")
 
-_FLIPS = {
-    ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
-    ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
-}
+_FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+          ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+_SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+           ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 class Mutant(NamedTuple):
     path: str        # relative to the repository root
-    line: int
+    line: int        # where the changed node starts in the original source
     col: int
     kind: str
     detail: str
-    start: int       # byte offsets of the replaced span in the source
-    end: int
-    text: bytes      # what replaces it
+    site: int        # index of the node in _function_nodes
+    arg: int = 0     # which comparison of a chained compare
 
-    def apply(self, source: bytes) -> bytes:
-        return source[:self.start] + self.text + source[self.end:]
+    def apply(self, source: str) -> str:
+        """The mutated module, written out by ``ast.unparse``."""
+        tree = ast.parse(source)
+        node = _function_nodes(tree)[self.site]
+        if self.kind == "statements":
+            body, i = _parent_lists(tree)[id(node)]
+            body[i] = ast.copy_location(ast.Pass(), node)
+        elif isinstance(node, ast.Constant):
+            node.value += 1
+        elif isinstance(node, ast.Compare):
+            node.ops[self.arg] = _FLIPS[type(node.ops[self.arg])]()
+        else:
+            node.op = _FLIPS[type(node.op)]()
+        return ast.unparse(tree)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line} {self.kind} {self.detail} (col {self.col})"
 
 
 def _function_nodes(tree: ast.AST) -> list[ast.AST]:
-    """Every node inside a function body, each once, in source order."""
+    """Every node inside a function body, each once, in ``ast.walk`` order.
+
+    The order depends on the tree alone, so a node has the same index in a
+    module and in its unparsed copy.
+    """
     seen: dict[int, ast.AST] = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for stmt in func.body:
                 for node in ast.walk(stmt):
                     seen.setdefault(id(node), node)
-    return sorted(seen.values(), key=lambda n: (getattr(n, "lineno", 0),
-                                                getattr(n, "col_offset", 0)))
+    return list(seen.values())
 
 
-class _Source:
-    """Byte offsets of (line, column) positions; ``ast`` columns count UTF-8 bytes."""
-
-    def __init__(self, source: bytes):
-        self.source = source
-        self.starts = [0]
-        for line in source.splitlines(keepends=True):
-            self.starts.append(self.starts[-1] + len(line))
-
-    def offset(self, line: int, col: int) -> int:
-        return self.starts[line - 1] + col
-
-    def span(self, node: ast.AST) -> tuple[int, int]:
-        return (self.offset(node.lineno, node.col_offset),
-                self.offset(node.end_lineno, node.end_col_offset))
-
-    def operator_tokens(self) -> list[tuple[int, str]]:
-        """(byte offset, text) of every operator token."""
-        lines = self.source.decode("utf-8").splitlines(keepends=True)
-        tokens = []
-        for tok in tokenize.generate_tokens(io.StringIO("".join(lines)).readline):
-            if tok.type == tokenize.OP:
-                row, col = tok.start
-                tokens.append((self.offset(row, len(lines[row - 1][:col].encode())),
-                               tok.string))
-        return tokens
+def _parent_lists(tree: ast.AST) -> dict[int, tuple[list, int]]:
+    """The statement list holding each statement, and its index there."""
+    return {id(stmt): (body, i) for node in ast.walk(tree)
+            for _, body in ast.iter_fields(node) if isinstance(body, list)
+            for i, stmt in enumerate(body) if isinstance(stmt, ast.stmt)}
 
 
-def statement_mutants(path: str, source: bytes) -> list[Mutant]:
+def statement_mutants(path: str, source: str) -> list[Mutant]:
     tree = ast.parse(source)
-    src = _Source(source)
     docstrings = {id(node.body[0]) for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and ast.get_docstring(node, clean=False) is not None}
-    mutants = []
-    for node in _function_nodes(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, ast.Pass) \
-                or id(node) in docstrings:
-            continue
-        start, end = src.span(node)
-        for deco in getattr(node, "decorator_list", ()):
-            start = min(start, src.offset(deco.lineno, deco.col_offset - 1))
-        # an ``elif`` branch is an If node that starts at its keyword
-        text = b"else: pass" if source.startswith(b"elif", start) else b"pass"
-        mutants.append(Mutant(path, node.lineno, node.col_offset, "statements", "pass",
-                              start, end, text))
-    return mutants
+    return [Mutant(path, node.lineno, node.col_offset, "statements", "pass", site)
+            for site, node in enumerate(_function_nodes(tree))
+            if isinstance(node, ast.stmt) and not isinstance(node, ast.Pass)
+            and id(node) not in docstrings]
 
 
-def operator_mutants(path: str, source: bytes) -> list[Mutant]:
-    tree = ast.parse(source)
-    src = _Source(source)
-    tokens = src.operator_tokens()
-    in_fstring = {id(n) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
-                  for n in ast.walk(node)}
-
-    def token_between(lo: int, hi: int, text: str) -> int:
-        return next(pos for pos, tok in tokens if lo <= pos < hi and tok == text)
-
+def operator_mutants(path: str, source: str) -> list[Mutant]:
     mutants = []
 
-    def flip(op: ast.AST, left: ast.AST, right: ast.AST, suffix: str = "") -> None:
-        old, new = _FLIPS[type(op)]
-        old, new = old + suffix, new + suffix
-        pos = token_between(src.span(left)[1], src.span(right)[0], old)
-        line = bisect_right(src.starts, pos)
-        mutants.append(Mutant(path, line, pos - src.starts[line - 1], "operators",
-                              f"{old} -> {new}", pos, pos + len(old), new.encode()))
+    def add(node: ast.AST, site: int, old: str, new: str, arg: int = 0) -> None:
+        mutants.append(Mutant(path, node.lineno, node.col_offset, "operators",
+                              f"{old} -> {new}", site, arg))
 
-    for node in _function_nodes(tree):
-        if id(node) in in_fstring:   # Python 3.11 misplaces an f-string's parts
-            continue
-        if isinstance(node, ast.BinOp) and type(node.op) in _FLIPS:
-            flip(node.op, node.left, node.right)
-        elif isinstance(node, ast.AugAssign) and type(node.op) in _FLIPS:
-            flip(node.op, node.target, node.value, "=")
+    for site, node in enumerate(_function_nodes(ast.parse(source))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _FLIPS:
+            op, eq = type(node.op), "=" if isinstance(node, ast.AugAssign) else ""
+            add(node, site, _SYMBOL[op] + eq, _SYMBOL[_FLIPS[op]] + eq)
         elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
             for i, op in enumerate(node.ops):
                 if type(op) in _FLIPS:
-                    flip(op, operands[i], operands[i + 1])
-        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            start, end = src.span(node)
-            if node.value + 1 == node.value:   # a float too large to move
-                continue
-            new = repr(node.value + 1)
-            mutants.append(Mutant(path, node.lineno, node.col_offset, "operators",
-                                  f"{source[start:end].decode()} -> {new}",
-                                  start, end, new.encode()))
-    return sorted(mutants, key=lambda m: (m.line, m.col))
+                    add(node, site, _SYMBOL[type(op)], _SYMBOL[_FLIPS[type(op)]], i)
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+                and node.value + 1 != node.value:   # not a float too large to move
+            add(node, site, repr(node.value), repr(node.value + 1))
+    return mutants
 
 
 KINDS = {"statements": statement_mutants, "operators": operator_mutants}
 
 
-def mutants_of(root: Path, files: list[str], kind: str) -> tuple[list[Mutant], int]:
-    """Every mutant of ``kind`` in ``files``, and how many were dropped as invalid."""
-    mutants, invalid = [], 0
+def mutants_of(root: Path, files: list[str], kind: str) -> list[Mutant]:
+    """Every mutant of ``kind`` in ``files``."""
+    mutants = []
     for name in files:
         rel = Path(name).resolve().relative_to(root.resolve()).as_posix()
-        source = (root / rel).read_bytes()
-        for mutant in KINDS[kind](rel, source):
-            try:
-                ast.parse(mutant.apply(source))
-            except SyntaxError:
-                invalid += 1
-            else:
-                mutants.append(mutant)
-    return mutants, invalid
+        mutants += sorted(KINDS[kind](rel, (root / rel).read_text()),
+                          key=lambda m: (m.line, m.col))
+    return mutants
 
 
 def _run(cmd: list[str], cwd: Path, timeout: float) -> bool | None:
     """True if ``cmd`` passes, False if it fails, None if it times out."""
     env = {k: v for k, v in os.environ.items() if k != "H2GAP_DATA_DIR"}
     env["PYTHONPATH"] = str(cwd / "src")
+    # no bytecode is written, so none of one mutant is loaded for the next
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
@@ -232,15 +189,20 @@ def _verdict(stages: list[list[str]], cwd: Path, timeouts: list[float]) -> str |
 
 
 def run(root: Path, files: list[str], kind: str, stages: list[list[str]],
-        jobs: int = 1, log=sys.stderr) -> tuple[list[Mutant], list[Mutant]]:
+        log=sys.stderr) -> tuple[list[Mutant], list[Mutant]]:
     """(all mutants, survivors), each mutant run in a scratch copy of ``root``."""
-    mutants, invalid = mutants_of(root, files, kind)
-    print(f"{len(mutants)} {kind} mutants ({invalid} invalid ones dropped)", file=log)
+    mutants = mutants_of(root, files, kind)
+    print(f"{len(mutants)} {kind} mutants", file=log)
+    # the baseline is the unparsed source, so a mutant differs from it in one node
+    unparsed = {m.path: ast.unparse(ast.parse((root / m.path).read_text()))
+                for m in mutants}
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copies: Queue[Path] = Queue()
-        for i in range(max(1, jobs)):
+        for i in range(JOBS):
             copy = Path(tmp) / f"copy{i}"
             shutil.copytree(root, copy, ignore=_IGNORE)
+            for path, source in unparsed.items():
+                (copy / path).write_text(source)
             copies.put(copy)
         baseline, timeouts = copies.get(), []
         for i, cmd in enumerate(stages, 1):
@@ -249,29 +211,23 @@ def run(root: Path, files: list[str], kind: str, stages: list[list[str]],
                 raise SystemExit(f"the unmutated copy fails stage {i}: {shlex.join(cmd)}")
             timeouts.append(max(60.0, 5 * (time.perf_counter() - began)))
         copies.put(baseline)
-        originals = {m.path: (root / m.path).read_bytes() for m in mutants}
 
         def one(k: int, mutant: Mutant) -> bool:
             copy = copies.get()
             target = copy / mutant.path
-            stat = target.stat()
             try:
-                target.write_bytes(mutant.apply(originals[mutant.path]))
-                # a unique mtime per write, so no stale bytecode of another
-                # mutant of the same size is ever loaded
-                os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + (k + 1) * 10**9))
+                target.write_text(mutant.apply(unparsed[mutant.path]))
                 began = time.perf_counter()
                 verdict = _verdict(stages, copy, timeouts)
             finally:
-                target.write_bytes(originals[mutant.path])
-                os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+                target.write_text(unparsed[mutant.path])
                 copies.put(copy)
             print(f"[{k + 1}/{len(mutants)}] {mutant}: "
                   f"{verdict or 'SURVIVED'} ({time.perf_counter() - began:.1f} s)",
                   file=log, flush=True)
             return verdict is None
 
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             alive = list(pool.map(one, range(len(mutants)), mutants))
     survivors = [m for m, a in zip(mutants, alive) if a]
     for path in dict.fromkeys(m.path for m in mutants):
@@ -284,12 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files to mutate")
     parser.add_argument("--kind", choices=sorted(KINDS), required=True)
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="repository to copy, e.g. a checkout of another commit "
-                             "(default: the one holding this script)")
-    parser.add_argument("--jobs", type=int, default=1, help="copies run at once")
     args = parser.parse_args(argv)
-    _, survivors = run(args.root, args.files, args.kind, list(DEFAULT_STAGES), args.jobs)
+    _, survivors = run(ROOT, args.files, args.kind, list(DEFAULT_STAGES))
     for mutant in survivors:
         print(mutant)
     return 0

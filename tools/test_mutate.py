@@ -66,9 +66,9 @@ class MutateTest(unittest.TestCase):
         # the test never calls clamp between 0 and 1, so x <= 0 and x < 1
         # survive, and so do the flip and the constant of the dead assignment
         self.assertEqual(self.survivors("operators"), (
-            6, ["toy.py:6 operators < -> <= (col 9)",
+            6, ["toy.py:6 operators < -> <= (col 7)",
                 "toy.py:6 operators 0 -> 1 (col 11)",
-                "toy.py:8 operators * -> / (col 15)",
+                "toy.py:8 operators * -> / (col 13)",
                 "toy.py:8 operators 3 -> 4 (col 17)"]))
 
     def test_a_failing_baseline_stops_the_pass(self):
