@@ -24,7 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "costs": (
         "CapacityTrajectory", "InvestmentCosts", "LCOHBreakdown", "ParamSet",
-        "TimeAnchoredSeries", "annuity_factor", "investment_costs", "lcoh",
+        "TimeAnchoredSeries", "annuity_factor", "gas_cost", "investment_costs",
+        "lcoh",
     ),
     "projects": (
         "Fate", "FateRates", "ProjectRecord", "SankeyData", "Snapshot",
@@ -38,7 +39,7 @@ _EXPORTS = {
     "subsidies": (
         "BudgetSupportResult", "SubsidySchedule", "annual_subsidies",
         "capacity_supported_by_budget", "cost_gap", "cumulative_subsidies",
-        "demand_supported_additions", "gas_cost", "parity_year",
+        "demand_supported_additions", "parity_year",
     ),
     "units": (
         "LHV_KWH_PER_KG", "capacity_to_production", "production_to_capacity",

@@ -407,8 +407,7 @@ def cmd_lcoh(args):
 
 
 def cmd_gap(args):
-    from .costs import lcoh
-    from .subsidies import gas_cost
+    from .costs import gas_cost, lcoh
 
     params = _load_params(args.params, args.scenario)
     carbon = args.carbon_pricing == "on"

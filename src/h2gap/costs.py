@@ -1,4 +1,5 @@
-"""Techno-economic core: parameter sets, learning-curve investment costs and LCOH.
+"""Techno-economic core: parameter sets, learning-curve investment costs, LCOH
+and the gas cost it is compared with.
 
 The levelised cost of hydrogen (LCOH, $/MWh of hydrogen, LHV basis) is computed
 with the annuity method::
@@ -24,6 +25,10 @@ fixed, the year and the learning ratio ``C_t / C_base`` determine the whole
 breakdown, and demand-side support does not enter it, so trajectories that
 share those values share entries. The records are immutable, and an error is
 never stored.
+
+This module holds the whole per-year cost path, :func:`lcoh` and
+:func:`gas_cost`, and imports neither ``dataclasses`` nor ``typing``, so the
+``lcoh`` and ``gap`` commands load neither (``tests/test_import_split.py``).
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Mapping
 from itertools import accumulate
-from typing import Mapping, NamedTuple
 
 from .units import FIRST_SUBSIDY_YEAR, _check_flh_eta
 
@@ -46,6 +51,7 @@ __all__ = [
     "annuity_factor",
     "investment_costs",
     "lcoh",
+    "gas_cost",
 ]
 
 
@@ -159,54 +165,70 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
 class ParamSet:
     """One techno-economic parameterization (central, progressive or conservative).
 
     All prices in 2023US$. Efficiency is the LHV electrolyser efficiency;
     capacity always denotes the electrical input capacity of the electrolyser.
 
+    A set is immutable: assigning to a field raises, and :meth:`replace`
+    derives a changed copy through the constructor, so every check runs again.
+    ``_fields`` names the fields in constructor order; ``repr``, ``==`` and
+    ``hash`` read them in that order.
+
     A set memoises :func:`lcoh` in a private attribute, ``_lcoh_memo``, keyed
     on (year, cumulative capacity, base capacity). It is not a field:
-    ``fields()``, ``repr`` and ``==`` ignore it, and ``dataclasses.replace``
-    starts the copy with an empty one.
+    ``repr``, ``==`` and ``hash`` ignore it, and a copy from :meth:`replace`
+    starts an empty one.
     """
 
-    scenario_id: str
-    investment_2023: float          # $/kW(el), total electrolyser in 2023
-    stack_share_2023: float         # stack share of the 2023 investment
-    learning_rate_stack: float      # fractional cost drop per capacity doubling
-    learning_rate_bop: float
-    stack_lifetime: TimeAnchoredSeries   # yr
-    payback_period: float                # yr, annuity horizon for the whole unit
-    full_load_hours: float               # h/yr
-    cost_of_capital: float               # fraction/yr
-    efficiency: TimeAnchoredSeries       # LHV fraction
-    fom_share: float                     # fixed O&M, fraction of investment per yr
-    transport_storage: float             # $/MWh H2 (variable O&M)
-    electricity_price: TimeAnchoredSeries   # $/MWh(el)
-    gas_price: TimeAnchoredSeries           # $/MWh(gas), fuel only
-    co2_price: TimeAnchoredSeries           # $/tCO2
-    emission_intensity: float               # tCO2 per MWh(gas), upstream included
+    _fields = (
+        "scenario_id",
+        "investment_2023",        # $/kW(el), total electrolyser in 2023
+        "stack_share_2023",       # stack share of the 2023 investment
+        "learning_rate_stack",    # fractional cost drop per capacity doubling
+        "learning_rate_bop",
+        "stack_lifetime",         # series, yr
+        "payback_period",         # yr, annuity horizon for the whole unit
+        "full_load_hours",        # h/yr
+        "cost_of_capital",        # fraction/yr
+        "efficiency",             # series, LHV fraction
+        "fom_share",              # fixed O&M, fraction of investment per yr
+        "transport_storage",      # $/MWh H2 (variable O&M)
+        "electricity_price",      # series, $/MWh(el)
+        "gas_price",              # series, $/MWh(gas), fuel only
+        "co2_price",              # series, $/tCO2
+        "emission_intensity",     # tCO2 per MWh(gas), upstream included
+    )
+    __slots__ = (*_fields, "_lcoh_memo")
 
-    def __post_init__(self):
-        if not isinstance(self.scenario_id, str):
-            raise ValueError(f"scenario_id must be a string, got {self.scenario_id!r}")
+    def __init__(self, scenario_id: str, investment_2023: float,
+                 stack_share_2023: float, learning_rate_stack: float,
+                 learning_rate_bop: float, stack_lifetime: TimeAnchoredSeries,
+                 payback_period: float, full_load_hours: float,
+                 cost_of_capital: float, efficiency: TimeAnchoredSeries,
+                 fom_share: float, transport_storage: float,
+                 electricity_price: TimeAnchoredSeries,
+                 gas_price: TimeAnchoredSeries, co2_price: TimeAnchoredSeries,
+                 emission_intensity: float):
+        given = locals()   # the arguments by field name, before any other local
+        if not isinstance(scenario_id, str):
+            raise ValueError(f"scenario_id must be a string, got {scenario_id!r}")
         # series are finite by construction; float() fields may still be nan/inf.
         # A series must also cover the first year of every path, so that a late
         # first anchor is a bad parameter set rather than a failure mid-compute.
-        # getattr, not vars(): a materialised __dict__ slows every later field read
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = given[name]
             if isinstance(value, float):
                 if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
-                object.__setattr__(self, f.name, value + 0.0)   # -0.0 enters as 0.0
+                    raise ValueError(f"{name} must be finite, got {value}")
+                value += 0.0   # -0.0 enters as 0.0
             elif isinstance(value, TimeAnchoredSeries) and \
                     value.first_year > FIRST_SUBSIDY_YEAR:
-                raise ValueError(f"{f.name} must have an anchor by "
+                raise ValueError(f"{name} must have an anchor by "
                                  f"{FIRST_SUBSIDY_YEAR}, got first anchor "
                                  f"{value.first_year}")
+            object.__setattr__(self, name, value)
         for eta in self.efficiency.anchors().values():
             _check_flh_eta(self.full_load_hours, eta)
         for name in ("stack_share_2023", "learning_rate_stack", "learning_rate_bop"):
@@ -225,8 +247,38 @@ class ParamSet:
             anchors = getattr(self, name).anchors()
             if min(anchors.values()) < 0.0:
                 raise ValueError(f"{name} anchors must be >= 0, got {anchors}")
-        # lcoh's results: not a field, so replace() starts an empty one
         object.__setattr__(self, "_lcoh_memo", {})
+
+    def replace(self, **changes) -> ParamSet:
+        """A new set with ``changes`` applied, built and checked by the constructor;
+        an unknown name raises TypeError."""
+        return ParamSet(**{**{name: getattr(self, name) for name in self._fields},
+                           **changes})
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "ParamSet(" + ", ".join(f"{name}={getattr(self, name)!r}"
+                                       for name in self._fields) + ")"
+
+    def __reduce__(self):
+        # copies and unpickled sets go through the checked constructor too
+        return ParamSet, self._values()
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ParamSet":
@@ -350,12 +402,10 @@ class CapacityTrajectory:
                 f"{self.base_year}, years {self.build_years[:1]}..{self.last_year})")
 
 
-class InvestmentCosts(NamedTuple):
+class InvestmentCosts(namedtuple("_InvestmentCosts", (
+        "year", "stack", "balance_of_plant", "cumulative_capacity_gw"))):
     """Specific investment costs ($/kW el) split into stack and balance of plant."""
-    year: int
-    stack: float
-    balance_of_plant: float
-    cumulative_capacity_gw: float
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -383,17 +433,12 @@ def investment_costs(year: int, trajectory: CapacityTrajectory,
         c_t)
 
 
-class LCOHBreakdown(NamedTuple):
+class LCOHBreakdown(namedtuple("_LCOHBreakdown", (
+        "year", "electricity", "stack_capital", "bop_capital", "transport_storage",
+        # inputs used, for reporting; the investments in $/kW
+        "efficiency", "investment_stack", "investment_bop"))):
     """Levelised cost of hydrogen and its components, all in $/MWh H2 (LHV)."""
-    year: int
-    electricity: float
-    stack_capital: float
-    bop_capital: float
-    transport_storage: float
-    # inputs used, for reporting
-    efficiency: float
-    investment_stack: float        # $/kW
-    investment_bop: float          # $/kW
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -429,3 +474,14 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
                               inv.stack, inv.balance_of_plant)
     params._lcoh_memo[key] = breakdown
     return breakdown
+
+
+def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> float:
+    """Total gas cost in ``year`` ($/MWh): the fuel price plus, with carbon
+    pricing, the emission intensity times the CO2 price."""
+    if year < FIRST_SUBSIDY_YEAR:
+        raise ValueError(f"gas cost is defined from {FIRST_SUBSIDY_YEAR} onwards, "
+                         f"got {year}")
+    fuel = params.gas_price.at(year)
+    co2 = params.emission_intensity * params.co2_price.at(year) if carbon_pricing else 0.0
+    return fuel + co2

@@ -12,7 +12,7 @@ from the cost side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .units import _parse_bool, production_to_capacity, read_csv
 
@@ -33,30 +33,31 @@ _REQUIRED_COLUMNS = ("source", "scenario_name", "year", "capacity_gw",
                      "production_mt_per_yr", "outlier")
 
 
-@dataclass(frozen=True)
-class ScenarioRequirement:
-    """One (source, scenario, year) electrolysis capacity requirement in GW."""
-    source: str
-    scenario_name: str
-    year: int
-    capacity_gw: float
-    outlier: bool = False
-    approximate: bool = False
+class ScenarioRequirement(namedtuple("_ScenarioRequirement", (
+        "source", "scenario_name", "year", "capacity_gw", "outlier", "approximate"))):
+    """One (source, scenario, year) electrolysis capacity requirement in GW.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.capacity_gw) and self.capacity_gw > 0.0):
+    ``__new__`` is the only way in: ``_make`` (and so ``_replace``) and
+    unpickling go through it too, so every requirement has a positive,
+    finite capacity.
+    """
+    __slots__ = ()
+
+    def __new__(cls, source: str, scenario_name: str, year: int, capacity_gw: float,
+                outlier: bool = False, approximate: bool = False):
+        self = tuple.__new__(cls, (source, scenario_name, year, capacity_gw,
+                                   outlier, approximate))
+        if not (math.isfinite(capacity_gw) and capacity_gw > 0.0):
             raise ValueError(f"requirement capacity must be positive and finite: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ScenarioRequirement:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RequirementStats:
-    year: int
-    n: int
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
+RequirementStats = namedtuple("RequirementStats", (
+    "year", "n", "minimum", "q1", "median", "q3", "maximum"))
 
 
 def load_requirements(path) -> list[ScenarioRequirement]:

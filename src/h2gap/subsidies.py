@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
+# for SubsidySchedule alone, which bench/test_bench.py copies with dataclasses.replace
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
 
-from .costs import CapacityTrajectory, ParamSet, lcoh
+# gas_cost is defined in costs, with the rest of the per-year cost path
+from .costs import CapacityTrajectory, ParamSet, gas_cost, lcoh
 from .units import DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, production_to_capacity
 
 __all__ = [
@@ -32,17 +34,6 @@ __all__ = [
 ]
 
 POLICY_WINDOW = (2024, 2030)   # years across which demand-side support is spread
-
-
-def gas_cost(year: int, params: ParamSet, carbon_pricing: bool) -> float:
-    """Total gas cost in ``year`` ($/MWh): the fuel price plus, with carbon
-    pricing, the emission intensity times the CO2 price."""
-    if year < FIRST_SUBSIDY_YEAR:
-        raise ValueError(f"gas cost is defined from {FIRST_SUBSIDY_YEAR} onwards, "
-                         f"got {year}")
-    fuel = params.gas_price.at(year)
-    co2 = params.emission_intensity * params.co2_price.at(year) if carbon_pricing else 0.0
-    return fuel + co2
 
 
 def cost_gap(year: int, trajectory: CapacityTrajectory, params: ParamSet,
@@ -191,16 +182,14 @@ def cumulative_subsidies(trajectory: CapacityTrajectory, params: ParamSet,
                            cumulative_busd=tuple(accumulate(annual)))
 
 
-@dataclass(frozen=True)
-class BudgetSupportResult:
-    """How much capacity a subsidy budget can carry, next to demand policy."""
-    budget_busd: float
-    subsidy_supported_gw: float
-    demand_supported_gw: float
-    spent_busd: float
-    saturated: bool
-    allocation: str
-    per_year_gw: Mapping[int, float]
+class BudgetSupportResult(namedtuple("_BudgetSupportResult", (
+        "budget_busd", "subsidy_supported_gw", "demand_supported_gw", "spent_busd",
+        "saturated", "allocation", "per_year_gw"))):
+    """How much capacity a subsidy budget can carry, next to demand policy.
+
+    ``per_year_gw`` maps each build year to the GW the budget funds in it.
+    """
+    __slots__ = ()
 
     @property
     def total_supported_gw(self) -> float:

@@ -199,9 +199,8 @@ def test_c12_numerical_property_suite(pipeline_traj, central, oracle, acceptance
     annuity_ok = all(annuity_factor(0.0, n) == pytest.approx(1.0 / n, rel=1e-12)
                      for n in (1, 5, 10, 15, 40))
     # two-annuity formula collapses when the lifetimes coincide
-    import dataclasses
-    merged = dataclasses.replace(
-        central, stack_lifetime=TimeAnchoredSeries({2024: central.payback_period}))
+    merged = central.replace(
+        stack_lifetime=TimeAnchoredSeries({2024: central.payback_period}))
     collapse_ok = True
     for year in (2024, 2030):
         b = lcoh(year, pipeline_traj, merged)

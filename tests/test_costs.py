@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -243,7 +244,70 @@ def test_sensitivity_sets_inside_published_ranges(central, progressive, conserva
 ])
 def test_param_set_bounds(central, name, value, message):
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(central, **{name: value})
+        central.replace(**{name: value})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"scenario_id": None}, "^scenario_id must be a string, got None$"),
+    ({"payback_period": math.nan}, "^payback_period must be finite, got nan$"),
+    ({"gas_price": TimeAnchoredSeries({2025: 19.0})},
+     "^gas_price must have an anchor by 2024, got first anchor 2025$"),
+    ({"efficiency": TimeAnchoredSeries({2024: 0.7, 2030: 1.1})},
+     r"^efficiency must be in \(0, 1\], got 1.1$"),
+    ({"stack_lifetime": TimeAnchoredSeries({2024: 10.0, 2030: 0.5})},
+     "^payback period and stack lifetime must be >= 1 year$"),
+    ({"cost_of_capital": 0.0}, "^cost of capital must be positive$"),
+    ({"fom_share": -0.01}, "^fom_share must be >= 0, got -0.01$"),
+    ({"co2_price": TimeAnchoredSeries({2024: 100.0, 2050: -1.0})},
+     r"^co2_price anchors must be >= 0, got \{2024: 100.0, 2050: -1.0\}$"),
+])
+def test_replace_reruns_every_check(central, changes, message):
+    with pytest.raises(ValueError, match=message):
+        central.replace(**changes)
+
+
+def test_replace_rejects_an_unknown_name(central):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'fom'"):
+        central.replace(fom=0.02)
+
+
+@pytest.mark.parametrize("name", ["fom_share", "_lcoh_memo", "note"])
+def test_a_set_cannot_be_changed_in_place(name):
+    params = ParamSet.builtin("central")
+    before = repr(params)
+    with pytest.raises(AttributeError):
+        setattr(params, name, {})
+    with pytest.raises(AttributeError):
+        delattr(params, name)
+    assert repr(params) == before and params._lcoh_memo == {}
+    assert not hasattr(params, "__dict__")
+
+
+def test_repr_equality_and_hash_are_those_of_a_frozen_dataclass(central):
+    # the field order, repr, == and hash that ParamSet had as a frozen dataclass
+    assert ParamSet._fields == (
+        "scenario_id", "investment_2023", "stack_share_2023", "learning_rate_stack",
+        "learning_rate_bop", "stack_lifetime", "payback_period", "full_load_hours",
+        "cost_of_capital", "efficiency", "fom_share", "transport_storage",
+        "electricity_price", "gas_price", "co2_price", "emission_intensity")
+    values = tuple(getattr(central, name) for name in ParamSet._fields)
+    assert repr(central) == "ParamSet(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(ParamSet._fields, values)) + ")"
+    assert repr(central).startswith(
+        "ParamSet(scenario_id='central', investment_2023=1850.0, "
+        "stack_share_2023=0.25, ")
+    assert hash(central) == hash(values)
+    assert central == ParamSet(*values) and central != values
+    assert central != central.replace(fom_share=central.fom_share + 0.01)
+    assert central.__eq__(values) is NotImplemented
+
+
+def test_copies_are_built_by_the_constructor(pipeline_traj):
+    params = ParamSet.builtin("central")
+    lcoh(2030, pipeline_traj, params)
+    for copied in (copy.copy(params), pickle.loads(pickle.dumps(params))):
+        assert type(copied) is ParamSet and repr(copied) == repr(params)
+        assert copied._lcoh_memo == {}
 
 
 def test_builtin_names_a_bundled_set():
@@ -252,8 +316,8 @@ def test_builtin_names_a_bundled_set():
 
 
 def test_negative_zero_enters_a_set_as_zero(pipeline_traj, central):
-    params = dataclasses.replace(central, transport_storage=-0.0,
-                                 electricity_price=TimeAnchoredSeries({2024: -0.0}))
+    params = central.replace(transport_storage=-0.0,
+                             electricity_price=TimeAnchoredSeries({2024: -0.0}))
     breakdown = lcoh(2030, pipeline_traj, params)
     assert breakdown.electricity == breakdown.transport_storage == 0.0
     assert all(math.copysign(1.0, value) == 1.0 for value in breakdown)
@@ -335,8 +399,7 @@ def test_monotone_nonincreasing_in_capacity(central):
 
 
 def test_halving_learning_rate_raises_costs(central):
-    slow = dataclasses.replace(central, learning_rate_stack=0.09,
-                               learning_rate_bop=0.05)
+    slow = central.replace(learning_rate_stack=0.09, learning_rate_bop=0.05)
     traj = CapacityTrajectory(2023, 1.86, {2024: 50.0})
     assert investment_costs(2024, traj, slow).total \
         > investment_costs(2024, traj, central).total
@@ -397,8 +460,8 @@ def test_breakdown_components_sum_to_total(pipeline_traj, central):
 
 
 def test_collapses_to_single_annuity_when_lifetimes_match(pipeline_traj, central):
-    merged = dataclasses.replace(
-        central, stack_lifetime=TimeAnchoredSeries({2024: central.payback_period}))
+    merged = central.replace(
+        stack_lifetime=TimeAnchoredSeries({2024: central.payback_period}))
     for year in (2024, 2030):
         b = lcoh(year, pipeline_traj, merged)
         inv = investment_costs(year, pipeline_traj, merged)
@@ -416,21 +479,20 @@ def test_collapses_to_single_annuity_when_lifetimes_match(pipeline_traj, central
     ("full_load_hours", +250.0, -1),
 ])
 def test_lcoh_monotonic_in_scalar_inputs(pipeline_traj, central, field, delta, direction):
-    bumped = dataclasses.replace(central, **{field: getattr(central, field) + delta})
+    bumped = central.replace(**{field: getattr(central, field) + delta})
     diff = lcoh(2030, pipeline_traj, bumped).total - lcoh(2030, pipeline_traj, central).total
     assert math.copysign(1.0, diff) == direction
 
 
 def test_lcoh_increasing_in_electricity_price(pipeline_traj, central):
-    bumped = dataclasses.replace(
-        central, electricity_price=central.electricity_price.scaled(1.1))
+    bumped = central.replace(
+        electricity_price=central.electricity_price.scaled(1.1))
     assert lcoh(2030, pipeline_traj, bumped).total \
         > lcoh(2030, pipeline_traj, central).total
 
 
 def test_lcoh_decreasing_in_efficiency(pipeline_traj, central):
-    better = dataclasses.replace(
-        central, efficiency=TimeAnchoredSeries({2024: 0.74}))
+    better = central.replace(efficiency=TimeAnchoredSeries({2024: 0.74}))
     assert lcoh(2030, pipeline_traj, better).total \
         < lcoh(2030, pipeline_traj, central).total
 
@@ -500,8 +562,8 @@ def test_lcoh_equals_per_call_formulas_bit_for_bit():
 
 
 def test_replace_gives_a_set_with_its_own_lcoh(pipeline_traj, central):
-    assert dataclasses.replace(central) == central
-    slow = dataclasses.replace(central, learning_rate_stack=0.09, payback_period=20.0)
+    assert central.replace() == central
+    slow = central.replace(learning_rate_stack=0.09, payback_period=20.0)
     for year in (2024, 2030, 2045):
         got = lcoh(year, pipeline_traj, slow)
         assert got == _per_call_lcoh(year, pipeline_traj, slow)[0]
@@ -550,8 +612,8 @@ def test_replace_starts_an_empty_memo(pipeline_traj):
     params = ParamSet.builtin("central")
     lcoh(2030, pipeline_traj, params)
     assert len(params._lcoh_memo) == 1
-    assert dataclasses.replace(params)._lcoh_memo == {}
-    assert dataclasses.replace(params, full_load_hours=4000.0)._lcoh_memo == {}
+    assert params.replace()._lcoh_memo == {}
+    assert params.replace(full_load_hours=4000.0)._lcoh_memo == {}
 
 
 def test_errors_raise_on_every_call_and_are_never_stored(pipeline_traj):
@@ -571,9 +633,9 @@ def test_errors_raise_on_every_call_and_are_never_stored(pipeline_traj):
 
 def test_memo_is_not_a_field(pipeline_traj):
     params = ParamSet.builtin("central")
-    untouched = dataclasses.replace(params)
+    untouched = params.replace()
     lcoh(2030, pipeline_traj, params)
-    assert "_lcoh_memo" not in {f.name for f in dataclasses.fields(params)}
+    assert "_lcoh_memo" not in ParamSet._fields
     assert "_lcoh_memo" not in repr(params)
     assert repr(params) == repr(untouched)
     assert params == untouched and hash(params) == hash(untouched)

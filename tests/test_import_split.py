@@ -3,10 +3,15 @@
 ``import h2gap`` loads no submodule; its exports are resolved lazily.
 ``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only, and
 ``import h2gap.scenarios`` adds no cost-side module. The five cost
-commands never load the project side, and ``track`` loads neither the cost
-side nor ``dataclasses`` and ``inspect``. Each check runs in a fresh
-interpreter, because this test process has imported everything already; only
-the modules loaded after the interpreter's own start-up count.
+commands never load the project side, and ``track`` never the cost side.
+``lcoh``, ``gap``, ``ambition`` and ``track`` load neither ``dataclasses``
+nor ``inspect``, and ``lcoh`` and ``gap`` no ``typing`` either.
+
+Each check runs in a fresh interpreter, because this test process has
+imported everything already; only the modules loaded after the
+interpreter's own start-up count. That interpreter runs with ``-S``: a
+``.pth`` file in site-packages can import modules at start-up (``typing``,
+``pathlib``, ``re``, ``enum``), which would hide them from the check.
 """
 
 import json
@@ -31,7 +36,7 @@ def _modules_loaded_by(statement: str, tmp_path: Path) -> set[str]:
             f"new = sorted(set(sys.modules) - before)\n"
             f"import json\nopen({str(listing)!r}, 'w').write(json.dumps(new))\n")
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(listing.read_text()))
@@ -88,3 +93,25 @@ def test_track_leaves_the_cost_side_and_dataclasses_unloaded(tmp_path):
     assert _package(loaded) == {"h2gap", "h2gap.cli", "h2gap.units",
                                 "h2gap.projects"}
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh", "--horizon", "2050"],
+    ["gap", "--carbon-pricing", "on"],
+    ["ambition"],
+    ["track", "--snapshots", SNAPSHOTS, "--target-year", "2022"],
+    ["subsidies", "--include-post2030"],
+    ["support", "--budget", "308"],
+    ["sweep"],
+], ids=lambda argv: argv[0])
+def test_only_the_subsidy_commands_load_dataclasses(tmp_path, argv):
+    loaded = _modules_loaded_by(_run(argv, tmp_path), tmp_path)
+    if argv[0] in ("subsidies", "support", "sweep"):
+        # SubsidySchedule stays a dataclass while bench/test_bench.py:120
+        # copies one with dataclasses.replace
+        assert {"dataclasses", "inspect"} <= loaded
+    else:
+        assert not loaded & {"dataclasses", "inspect"}
+    if argv[0] in ("lcoh", "gap"):
+        # the per-year cost path, gas_cost included, is h2gap.costs alone
+        assert not loaded & {"typing", "h2gap.subsidies"}

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -207,9 +209,21 @@ def test_exactly_one_quantity_column_required(tmp_path):
 
 
 def test_nonpositive_capacity_rejected():
+    good = ScenarioRequirement("A", "x", 2030, 100.0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ScenarioRequirement("A", "x", 2030, bad)
+        values = ("A", "x", 2030, bad, False, False)
+        for build in (lambda: ScenarioRequirement(*values),
+                      lambda: ScenarioRequirement._make(values),
+                      lambda: good._replace(capacity_gw=bad),
+                      # a requirement forged past __new__ is checked when unpickled
+                      lambda: pickle.loads(pickle.dumps(
+                          tuple.__new__(ScenarioRequirement, values)))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == (
+                "requirement capacity must be positive and finite: ScenarioRequirement("
+                f"source='A', scenario_name='x', year=2030, capacity_gw={bad!r}, "
+                "outlier=False, approximate=False)")
 
 
 @pytest.mark.parametrize("row", [

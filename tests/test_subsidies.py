@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import namedtuple
 
@@ -41,7 +40,7 @@ def test_carbon_component_is_intensity_times_price(central):
 
 
 def test_zero_carbon_price_equals_flag_off(central, pipeline_traj):
-    zeroed = dataclasses.replace(central, co2_price=TimeAnchoredSeries({2024: 0.0}))
+    zeroed = central.replace(co2_price=TimeAnchoredSeries({2024: 0.0}))
     for year in (2024, 2030, 2040):
         assert cost_gap(year, pipeline_traj, zeroed, True) \
             == pytest.approx(cost_gap(year, pipeline_traj, zeroed, False))
@@ -51,7 +50,7 @@ def test_gas_cost_before_window_is_error(central):
     with pytest.raises(ValueError):
         gas_cost(2023, central, carbon_pricing=False)
     # a gas series that starts earlier does not extend the window
-    early = dataclasses.replace(central, gas_price=TimeAnchoredSeries({2020: 19.0}))
+    early = central.replace(gas_price=TimeAnchoredSeries({2020: 19.0}))
     with pytest.raises(ValueError, match="defined from 2024 onwards, got 2023"):
         gas_cost(2023, early, carbon_pricing=False)
 
@@ -86,11 +85,11 @@ def test_parity_is_the_first_year_without_a_positive_gap():
     toy = _toy_params()
     traj = CapacityTrajectory(2023, 1.86, {2024: 1.0})
     flat = lcoh(2024, traj, toy).total      # no capex: the same LCOH every year
-    at_par = dataclasses.replace(toy, gas_price=TimeAnchoredSeries({2024: flat}))
+    at_par = toy.replace(gas_price=TimeAnchoredSeries({2024: flat}))
     assert cost_gap(2030, traj, at_par, False) == 0.0
     assert parity_year(traj, at_par, False, 2030) == 2024
-    below = dataclasses.replace(
-        toy, gas_price=TimeAnchoredSeries({2024: math.nextafter(flat, 0.0)}))
+    below = toy.replace(
+        gas_price=TimeAnchoredSeries({2024: math.nextafter(flat, 0.0)}))
     assert parity_year(traj, below, False, 2030) is None
 
 
@@ -211,8 +210,8 @@ def test_lcoh_locked_at_build_year(central, pipeline_traj):
 
 def test_negative_gap_cohorts_pay_nothing():
     params = _toy_params()
-    cheap = dataclasses.replace(
-        params, electricity_price=TimeAnchoredSeries({2024: 0.0}),
+    cheap = params.replace(
+        electricity_price=TimeAnchoredSeries({2024: 0.0}),
         transport_storage=5.0)   # LCOH = 5 < gas = 20
     traj = CapacityTrajectory(2023, 1.86, {2024: 1.0})
     assert annual_subsidies(2025, traj, cheap, False) == 0.0
@@ -239,7 +238,7 @@ def test_carbon_pricing_lowers_requirements(central, offset_traj):
 
 
 def test_higher_carbon_price_lowers_requirements_further(central, offset_traj):
-    pricier = dataclasses.replace(central, co2_price=central.co2_price.scaled(1.2))
+    pricier = central.replace(co2_price=central.co2_price.scaled(1.2))
     base = cumulative_subsidies(offset_traj, central, True, 2045).total_busd
     assert cumulative_subsidies(offset_traj, pricier, True, 2045).total_busd < base
 
@@ -348,8 +347,8 @@ FIVE_YEARS = Cell(BUNDLED["central"], {2024: 1.0, 2025: 2.0, 2026: 1.5, 2027: 0.
 def cells(draw):
     """A parameter set, a pipeline through 2030 and its supported share, a horizon."""
     params = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]
-    params = dataclasses.replace(
-        params, payback_period=draw(st.sampled_from((1.0, 2.5, 7.0, 15.0, 15.5, 30.0))),
+    params = params.replace(
+        payback_period=draw(st.sampled_from((1.0, 2.5, 7.0, 15.0, 15.5, 30.0))),
         gas_price=params.gas_price.scaled(draw(st.sampled_from((0.2, 1.0, 3.0)))))
     base_year = draw(st.sampled_from((2023, 2024)))
     additions = {y: draw(st.floats(0.0, 80.0)) for y in range(base_year + 1, 2031)}
@@ -551,7 +550,7 @@ def test_budget_validation(central, pipeline_traj):
 @pytest.mark.parametrize("carbon", [False, True])
 def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, carbon):
     # payment years past the last gas and CO2 anchors are added in closed form
-    params = dataclasses.replace(central, payback_period=40.0)
+    params = central.replace(payback_period=40.0)
     costs = _unit_costs(offset_traj, params, carbon)
     assert list(costs) == offset_traj.build_years
     for year in offset_traj.build_years:
@@ -580,7 +579,7 @@ def _budget_gas_lookups(params, pipeline, monkeypatch):
 def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, monkeypatch):
     # one gas lookup per payment year up to 2045, after which gas and CO2 are
     # flat and added in closed form: a year-by-year loop would never finish
-    params = dataclasses.replace(central, payback_period=1e9)
+    params = central.replace(payback_period=1e9)
     calls, res = _budget_gas_lookups(params, pipeline_traj, monkeypatch)
     assert calls == list(range(2024, 2046)) and not res.saturated
     assert math.isfinite(res.spent_busd) and res.spent_busd == pytest.approx(100.0)
@@ -603,7 +602,7 @@ def test_huge_payback_schedule_is_bounded(central, pipeline_traj):
     assert annuity_factor(central.cost_of_capital, 1e3) \
         == annuity_factor(central.cost_of_capital, 1e9)
     finite, huge = (cumulative_subsidies(
-        traj, dataclasses.replace(central, payback_period=payback), True, 2100)
+        traj, central.replace(payback_period=payback), True, 2100)
         for payback in (1e3, 1e9))
     assert huge.annual_busd == finite.annual_busd
 
