@@ -17,7 +17,8 @@ import math
 import os
 from pathlib import Path
 
-from .costs import CapacityTrajectory
+# CapacityTrajectory is imported by the two functions that build one, so that
+# a caller of the path helpers (``ambition``) does not load the cost side
 from .scenarios import ScenarioRequirement, load_requirements, stats
 from .units import FIRST_SUBSIDY_YEAR, SCENARIO_IDS, read_csv
 
@@ -67,6 +68,8 @@ def load_pipeline(path) -> CapacityTrajectory:
     one SnapshotDataError naming their lines, a missing column
     SnapshotSchemaError.
     """
+    from .costs import CapacityTrajectory
+
     rows: dict[int, float] = {}
     lines: dict[int, int] = {}
     with read_csv(path, ("year", "additions_gw")) as (records, index, bad, line):
@@ -124,6 +127,8 @@ def median_extended_pipeline(horizon: int,
     A pipeline that already reaches the horizon, or a horizon up to 2030, is
     returned unchanged. Supported capacity carries over.
     """
+    from .costs import CapacityTrajectory
+
     pipe = pipeline if pipeline is not None else builtin_pipeline()
     if horizon <= max(pipe.last_year, 2030):
         return pipe

@@ -23,18 +23,20 @@ dropped (counted in the load report), so every kept :class:`ProjectRecord`
 has both; unparseable rows fail the load with line-level diagnostics.
 
 The result types (:class:`LoadReport`, :class:`TransitionReport`,
-:class:`FateRates`, :class:`SankeyData` and their parts) are named tuples:
+:class:`FateRates`, :class:`SankeyData` and their parts) are
+:func:`collections.namedtuple` types, like the cost and scenario records:
 immutable, equal by value, and cheap to define, so that the ``track`` and
-``ambition`` commands import neither :mod:`dataclasses` nor :mod:`inspect`.
+``ambition`` commands import none of :mod:`dataclasses`, :mod:`inspect` and
+:mod:`typing`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # the snapshot errors live in the leaf module, so that the CLI can catch them
 # without importing this one
@@ -117,10 +119,7 @@ class ProjectRecord(namedtuple("_ProjectRecord", (
         return cls(*iterable)
 
 
-class LoadReport(NamedTuple):
-    kept: int
-    dropped: int
-    dropped_reasons: Mapping[str, int]
+LoadReport = namedtuple("LoadReport", ("kept", "dropped", "dropped_reasons"))
 
 
 class Snapshot:
@@ -257,33 +256,29 @@ class Fate(str, Enum):
     DISAPPEARED = "disappeared"
 
 
-class ProjectFate(NamedTuple):
+class ProjectFate(namedtuple("_ProjectFate", (
+        "ref_id", "name", "status_announced", "fate", "capacity_mw", "dummy_mw",
+        "final_status", "final_launch_year", "operational_late", "early"),
+        defaults=(0.0, None, None, False, False))):
     """Fate of one tracked project of the target-year cohort.
 
     ``capacity_mw`` is the capacity credited to the fate (the final vintage's
     value when the project is still present, the announced value when it
     vanished); ``dummy_mw`` is the announced-minus-final difference booked as
     a dummy adjustment so that fates plus dummies reproduce the announced
-    total exactly.
+    total exactly. ``operational_late`` marks a delayed project that is
+    operational before the final vintage, ``early`` an operational one with a
+    launch year before the target.
     """
-    ref_id: str
-    name: str
-    status_announced: Status
-    fate: Fate
-    capacity_mw: float
-    dummy_mw: float = 0.0
-    final_status: Status | None = None
-    final_launch_year: int | None = None
-    operational_late: bool = False   # delayed but operational before the final vintage
-    early: bool = False              # operational with a launch year before the target
+    __slots__ = ()
 
 
-class TransitionReport(NamedTuple):
-    target_year: int
-    earlier_vintage: int
-    final_vintage: int
-    fates: tuple[ProjectFate, ...]
-    announced_mw: float          # earlier-vintage cohort total
+class TransitionReport(namedtuple("_TransitionReport", (
+        "target_year", "earlier_vintage", "final_vintage", "fates",
+        "announced_mw"))):
+    """Fates of the target-year cohort; ``announced_mw`` is the
+    earlier-vintage cohort total."""
+    __slots__ = ()
 
     def fate_total_mw(self, fate: Fate) -> float:
         return sum(f.capacity_mw for f in self.fates if f.fate is fate)
@@ -365,16 +360,8 @@ def track(snapshots: Sequence[Snapshot], target_year: int) -> TransitionReport:
         announced_mw=sum(r.capacity_mw for r in cohort))
 
 
-class FateShares(NamedTuple):
-    success: float
-    delayed: float
-    disappeared: float
-
-
-class FateRates(NamedTuple):
-    target_year: int
-    total: FateShares
-    by_status: Mapping[Status, FateShares]
+FateShares = namedtuple("FateShares", ("success", "delayed", "disappeared"))
+FateRates = namedtuple("FateRates", ("target_year", "total", "by_status"))
 
 
 def _shares(fates: Sequence[ProjectFate]) -> FateShares:
@@ -424,25 +411,16 @@ _BOOKKEEPING = {ENTERING, INCREASED, REDUCED, DISAPPEARED, DELAYED_OUT,
                 MOVED_EARLIER, REALIZED, NOT_REALIZED}
 
 
-class SankeyNode(NamedTuple):
-    stage: int
-    label: str
-    capacity_gw: float
+SankeyNode = namedtuple("SankeyNode", ("stage", "label", "capacity_gw"))
+SankeyFlow = namedtuple("SankeyFlow", (
+    "stage_from", "label_from", "stage_to", "label_to", "capacity_gw"))
 
 
-class SankeyFlow(NamedTuple):
-    stage_from: int
-    label_from: str
-    stage_to: int
-    label_to: str
-    capacity_gw: float
-
-
-class SankeyData(NamedTuple):
-    target_year: int
-    stages: tuple[str, ...]       # one label per vintage plus "outcome"
-    nodes: tuple[SankeyNode, ...]
-    flows: tuple[SankeyFlow, ...]
+class SankeyData(namedtuple("_SankeyData", (
+        "target_year", "stages", "nodes", "flows"))):
+    """Sankey nodes and flows of one cohort; ``stages`` has one label per
+    vintage plus ``"outcome"``."""
+    __slots__ = ()
 
     def stage_total_gw(self, stage: int) -> float:
         """Capacity of the target-year cohort at one stage (status nodes only)."""

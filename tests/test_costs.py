@@ -188,6 +188,12 @@ def test_extended_rejects_overlap():
     with pytest.raises(ValueError, match=r"extension overlaps existing build "
                                          r"years: \[2031, 2033\]"):
         fixtures.median_extended_pipeline(2040, pipeline=traj, requirements=reqs)
+    # the continuation is anchored at 2030, so what is built later is an
+    # overlap, not a target above the 2040 median
+    huge = CapacityTrajectory(2023, 1.86, {2024: 10.0, 2031: 1e6})
+    with pytest.raises(ValueError, match=r"extension overlaps existing build "
+                                         r"years: \[2031\]"):
+        fixtures.median_extended_pipeline(2040, pipeline=huge, requirements=reqs)
     ext = fixtures.median_extended_pipeline(
         2040, pipeline=CapacityTrajectory(2023, 1.86, {2024: 10.0}), requirements=reqs)
     assert ext.cumulative(2030) == pytest.approx(11.86)

@@ -3,9 +3,9 @@
 ``import h2gap`` loads no submodule; its exports are resolved lazily.
 ``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only, and
 ``import h2gap.scenarios`` adds no cost-side module. The five cost
-commands never load the project side, and ``track`` never the cost side.
-``lcoh``, ``gap``, ``ambition`` and ``track`` load neither ``dataclasses``
-nor ``inspect``, and ``lcoh`` and ``gap`` no ``typing`` either.
+commands never load the project side, and ``track`` and ``ambition`` never
+the cost side. No command loads ``typing``; ``lcoh``, ``gap``, ``ambition``
+and ``track`` load neither ``dataclasses`` nor ``inspect`` either.
 
 Each check runs in a fresh interpreter, because this test process has
 imported everything already; only the modules loaded after the
@@ -112,6 +112,15 @@ def test_only_the_subsidy_commands_load_dataclasses(tmp_path, argv):
         assert {"dataclasses", "inspect"} <= loaded
     else:
         assert not loaded & {"dataclasses", "inspect"}
+    assert "typing" not in loaded
     if argv[0] in ("lcoh", "gap"):
         # the per-year cost path, gas_cost included, is h2gap.costs alone
-        assert not loaded & {"typing", "h2gap.subsidies"}
+        assert "h2gap.subsidies" not in loaded
+
+
+def test_ambition_leaves_the_cost_side_unloaded(tmp_path):
+    # fixtures imports CapacityTrajectory only where it builds a pipeline
+    loaded = _modules_loaded_by(_run(["ambition"], tmp_path), tmp_path)
+    assert _package(loaded) == {"h2gap", "h2gap.cli", "h2gap.units",
+                                "h2gap.fixtures", "h2gap.scenarios",
+                                "h2gap.projects"}

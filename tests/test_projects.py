@@ -1,3 +1,4 @@
+import copy
 import csv
 import pickle
 import random
@@ -282,12 +283,14 @@ def test_non_finite_capacity_is_row_error(tmp_path):
     path.write_text(HEADER + "A,one,DEU,Europe,Concept,2024,10,false\n"
                     + "B,two,DEU,Europe,Concept,2024,nan,false\n"
                     + "C,three,DEU,Europe,Concept,2024, INF ,false\n"
-                    + "D,four,DEU,Europe,Concept,2024,-inf,false\n")
+                    + "D,four,DEU,Europe,Concept,2024,-inf,false\n"
+                    + "E,five,DEU,Europe,Concept,2024,0,false\n")
     with pytest.raises(SnapshotDataError) as exc:
         load_snapshot(path, 2023)
     assert exc.value.row_errors == [(3, "capacity must be finite, got nan"),
                                     (4, "capacity must be finite, got inf"),
-                                    (5, "capacity must be positive, got -inf")]
+                                    (5, "capacity must be positive, got -inf"),
+                                    (6, "capacity must be positive, got 0.0")]
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             _rec("A", cap=bad)
@@ -318,9 +321,34 @@ def test_result_types_are_immutable_named_tuples(snapshots):
     sankey = sankey_flows(snapshots, 2022)
     results = (snapshots[0].load_report, report, report.fates[0], rates,
                rates.total, sankey, sankey.nodes[0], sankey.flows[0])
-    assert len({type(r) for r in results}) == 8
+    fields = {
+        "LoadReport": ("kept", "dropped", "dropped_reasons"),
+        "TransitionReport": ("target_year", "earlier_vintage", "final_vintage",
+                             "fates", "announced_mw"),
+        "ProjectFate": ("ref_id", "name", "status_announced", "fate",
+                        "capacity_mw", "dummy_mw", "final_status",
+                        "final_launch_year", "operational_late", "early"),
+        "FateRates": ("target_year", "total", "by_status"),
+        "FateShares": ("success", "delayed", "disappeared"),
+        "SankeyData": ("target_year", "stages", "nodes", "flows"),
+        "SankeyNode": ("stage", "label", "capacity_gw"),
+        "SankeyFlow": ("stage_from", "label_from", "stage_to", "label_to",
+                       "capacity_gw"),
+    }
+    assert [type(r).__name__ for r in results] == list(fields)
+    assert projects.ProjectFate._field_defaults == {
+        "dummy_mw": 0.0, "final_status": None, "final_launch_year": None,
+        "operational_late": False, "early": False}
     for result in results:
+        cls = type(result)
+        assert cls is getattr(projects, cls.__name__)
+        assert cls._fields == fields[cls.__name__]
+        assert repr(result).startswith(f"{cls.__name__}({cls._fields[0]}=")
         assert result == tuple(result) and result._replace() == result
+        assert result._asdict() == dict(zip(cls._fields, result))
+        for back in (pickle.loads(pickle.dumps(result)), copy.copy(result)):
+            assert type(back) is cls and back == result
+            assert repr(back) == repr(result)
         with pytest.raises(AttributeError):
             result.note = "x"
     assert report._replace(target_year=2023).target_year == 2023
@@ -441,6 +469,8 @@ def test_track_and_sankey_take_the_same_vintages(snapshots, build):
     s21, s22, s23 = snapshots
     with pytest.raises(ValueError, match="non-decreasing order, got 2023, 2022, 2021"):
         build([s23, s22, s21], 2022)
+    with pytest.raises(ValueError, match="non-decreasing order, got 2021, 2023, 2022"):
+        build([s21, s23, s22], 2022)
     with pytest.raises(ValueError, match="at least two snapshots"):
         build([s21], 2022)
     build([s21, s21, s23], 2022)     # a repeated vintage is in order
@@ -501,6 +531,10 @@ def test_fates_without_capacity_have_no_shares():
     report = projects.TransitionReport(2022, 2021, 2023, fates, announced_mw=0.0)
     with pytest.raises(ValueError, match="^no announced capacity to compute fate shares$"):
         fate_rates(report)
+    # any positive total has shares, however small
+    small = report._replace(fates=(fates[0]._replace(capacity_mw=0.5),),
+                            announced_mw=0.5)
+    assert tuple(fate_rates(small).total) == (0.0, 0.0, 1.0)
 
 
 def test_empty_cohort_is_error():
@@ -591,14 +625,24 @@ def test_bundled_sankey_conserves_internal_nodes(snapshots):
 
 
 def test_node_balance_errors_name_an_unbalanced_status_node():
-    # stage 1's node receives 1 GW and passes none on; stage 0 is a source
+    # only stage 1 is internal: stage 0 is a source and stage 2 the outcome,
+    # so its Operational node (in 1.0, out 0.0) is not checked
+    node, flow = projects.SankeyNode, projects.SankeyFlow
     sankey = projects.SankeyData(
         2022, ("2021", "2022", "outcome"),
-        nodes=(projects.SankeyNode(0, "Concept", 1.0),
-               projects.SankeyNode(1, "FID_Construction", 1.0)),
-        flows=(projects.SankeyFlow(0, "Concept", 1, "FID_Construction", 1.0),))
+        nodes=(node(0, "Concept", 2.0), node(1, "Concept", 1.0),
+               node(1, "FID_Construction", 1.0), node(1, "Operational", 1.0),
+               node(2, "Operational", 1.0), node(2, "realized", 0.5)),
+        flows=(flow(0, "Concept", 1, "Concept", 1.0),
+               flow(0, "Concept", 1, "FID_Construction", 1.0),
+               flow(1, "Concept", 2, "realized", 0.5),
+               flow(1, "Operational", 2, "Operational", 1.0)))
+    unbalanced = ["stage 1 FID_Construction: in 1.0 != out 0.0",
+                  "stage 1 Operational: in 0.0 != out 1.0"]
     assert sankey.node_balance_errors() == [
-        "stage 1 FID_Construction: in 1.0 != out 0.0"]
+        "stage 1 Concept: in 1.0 != out 0.5", *unbalanced]
+    # a difference equal to the tolerance is not an error
+    assert sankey.node_balance_errors(tol_gw=0.5) == unbalanced
 
 
 def test_single_project_straight_through():

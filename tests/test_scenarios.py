@@ -116,8 +116,11 @@ def test_flat_targets_give_zero_additions():
 
 
 def test_uniform_slope():
-    traj = _extend(1441.0, 2441.0)
-    assert all(traj.addition(y) == pytest.approx(100.0) for y in range(2031, 2051))
+    for horizon in (2031, 2050):
+        traj = _extend(1441.0, 2441.0, horizon=horizon)
+        assert traj.last_year == horizon
+        assert all(traj.addition(y) == pytest.approx(100.0)
+                   for y in range(2031, horizon + 1))
 
 
 def test_cumulative_reproduces_anchor_points():
