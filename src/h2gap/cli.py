@@ -1,20 +1,9 @@
 """Command-line interface.
 
-Commands::
-
-    h2gap track      --snapshots s21.csv,s22.csv,s23.csv --target-year 2022
-    h2gap ambition   [--year 2030] [--exclude-outliers true|false]
-    h2gap lcoh       [--scenario central] [--horizon 2045]
-    h2gap gap        [--scenario central] [--carbon-pricing on|off]
-    h2gap subsidies  [--horizon 2045] [--include-post2030]
-    h2gap support    --budget 308 [--allocation chronological|uniform]
-    h2gap sweep      [--horizon 2045]
-
-Every command takes ``--scenario``, ``--carbon-pricing on|off``, ``--horizon
-YEAR``, ``--format csv|json`` and ``--out DIR``, plus those of ``--params FILE``,
-``--pipeline FILE``, ``--scenarios-file FILE`` and ``--policy-mt MT`` it reads.
-Bundled fixture data is used for anything not supplied; ``H2GAP_DATA_DIR``
-points all defaults somewhere else.
+``_COMMANDS`` declares each command: its handler, its help line and the names
+of the flags it takes, whose argparse specs are in ``_FLAGS``; ``h2gap
+<command> --help`` lists them. Bundled fixture data is used for anything not
+supplied; ``H2GAP_DATA_DIR`` points all defaults somewhere else.
 
 ``track`` takes two or more snapshots, oldest first: the first gives the
 target-year cohort, the last judges its fate, and every file is one Sankey
@@ -88,6 +77,22 @@ def _end_year(text: str) -> int:
 
 
 _FLAGS = {
+    "--snapshots": dict(required=True,
+                        help="comma-separated snapshot CSVs, oldest first. The "
+                             "first gives the cohort, the last its fate, every "
+                             "file a Sankey stage"),
+    "--target-year": dict(type=int, required=True),
+    "--vintages": dict(help="comma-separated vintage years (default: from file names)"),
+    "--year": dict(type=int, default=2030),
+    "--exclude-outliers": dict(default="true", choices=["true", "false"]),
+    "--snapshot": dict(metavar="FILE", help="project snapshot for the pipeline side "
+                                            "(default: bundled 2023 vintage)"),
+    "--include-post2030": dict(action="store_true",
+                               help="also subsidise build years after 2030 along the "
+                                    "scenario-median continuation"),
+    "--budget": dict(type=_finite_float, required=True, metavar="BUSD",
+                     help="available subsidies in billion US$"),
+    "--allocation": dict(default="chronological", choices=["chronological", "uniform"]),
     "--params": dict(metavar="FILE", help="parameter JSON (default: the --scenario file)"),
     "--scenario": dict(default="central", choices=SCENARIO_IDS),
     "--carbon-pricing": dict(default="off", choices=["on", "off"]),
@@ -102,59 +107,9 @@ _FLAGS = {
                         help="demand-side policy volume in Mt H2/yr (default 7)"),
 }
 
-
-def _shared_flags(parser: argparse.ArgumentParser, *reads: str) -> None:
-    """Add the five flags bench/workloads.py passes to every command, then ``reads``."""
-    for flag in ("--scenario", "--carbon-pricing", "--horizon", "--format", "--out", *reads):
-        parser.add_argument(flag, **_FLAGS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="h2gap",
-        description="Green hydrogen project tracking, LCOH and subsidy gaps.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("track", help="track a launch-year cohort across vintages")
-    p.add_argument("--snapshots", required=True,
-                   help="comma-separated snapshot CSVs, oldest first. The "
-                        "first gives the cohort, the last its fate, every "
-                        "file a Sankey stage")
-    p.add_argument("--target-year", type=int, required=True)
-    p.add_argument("--vintages",
-                   help="comma-separated vintage years (default: from file names)")
-    _shared_flags(p)
-
-    p = sub.add_parser("ambition", help="scenario statistics and the ambition gap")
-    p.add_argument("--year", type=int, default=2030)
-    p.add_argument("--exclude-outliers", default="true", choices=["true", "false"])
-    p.add_argument("--snapshot", metavar="FILE",
-                   help="project snapshot for the pipeline side "
-                        "(default: bundled 2023 vintage)")
-    _shared_flags(p, "--scenarios-file")
-
-    p = sub.add_parser("lcoh", help="levelised cost of hydrogen by year")
-    _shared_flags(p, "--params", "--pipeline", "--scenarios-file")
-
-    p = sub.add_parser("gap", help="cost gap between hydrogen and natural gas")
-    _shared_flags(p, "--params", "--pipeline", "--scenarios-file")
-
-    p = sub.add_parser("subsidies", help="required annual and cumulative subsidies")
-    p.add_argument("--include-post2030", action="store_true",
-                   help="also subsidise build years after 2030 along the "
-                        "scenario-median continuation")
-    _shared_flags(p, "--params", "--pipeline", "--scenarios-file", "--policy-mt")
-
-    p = sub.add_parser("support", help="capacity supportable by a subsidy budget")
-    p.add_argument("--budget", type=_finite_float, required=True, metavar="BUSD",
-                   help="available subsidies in billion US$")
-    p.add_argument("--allocation", default="chronological",
-                   choices=["chronological", "uniform"])
-    _shared_flags(p, "--params", "--pipeline", "--policy-mt")
-
-    p = sub.add_parser("sweep", help="scenario x carbon-pricing summary sweep")
-    _shared_flags(p, "--pipeline", "--scenarios-file", "--policy-mt")
-    return parser
+# Every command takes these five, also where it ignores them, because the
+# benchmark (bench/workloads.py) passes them to every command.
+_SHARED = ("--scenario", "--carbon-pricing", "--horizon", "--format", "--out")
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +462,42 @@ def cmd_sweep(args):
     return {"sweep": rows}, summary
 
 
+# name: (handler, help line, flags in usage order)
 _COMMANDS = {
-    "track": cmd_track,
-    "ambition": cmd_ambition,
-    "lcoh": cmd_lcoh,
-    "gap": cmd_gap,
-    "subsidies": cmd_subsidies,
-    "support": cmd_support,
-    "sweep": cmd_sweep,
+    "track": (cmd_track, "track a launch-year cohort across vintages",
+              ("--snapshots", "--target-year", "--vintages", *_SHARED)),
+    "ambition": (cmd_ambition, "scenario statistics and the ambition gap",
+                 ("--year", "--exclude-outliers", "--snapshot", *_SHARED,
+                  "--scenarios-file")),
+    "lcoh": (cmd_lcoh, "levelised cost of hydrogen by year",
+             (*_SHARED, "--params", "--pipeline", "--scenarios-file")),
+    "gap": (cmd_gap, "cost gap between hydrogen and natural gas",
+            (*_SHARED, "--params", "--pipeline", "--scenarios-file")),
+    "subsidies": (cmd_subsidies, "required annual and cumulative subsidies",
+                  ("--include-post2030", *_SHARED, "--params", "--pipeline",
+                   "--scenarios-file", "--policy-mt")),
+    "support": (cmd_support, "capacity supportable by a subsidy budget",
+                ("--budget", "--allocation", *_SHARED, "--params", "--pipeline",
+                 "--policy-mt")),
+    "sweep": (cmd_sweep, "scenario x carbon-pricing summary sweep",
+              (*_SHARED, "--pipeline", "--scenarios-file", "--policy-mt")),
 }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``h2gap`` parser with every command as a choice, so its usage, help
+    and errors are the same whichever is built; only ``command``'s subparser
+    gets its flags."""
+    parser = argparse.ArgumentParser(
+        prog="h2gap",
+        description="Green hydrogen project tracking, LCOH and subsidy gaps.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
@@ -532,14 +514,18 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so the first
+    # token that names a command is the one argparse hands the rest to
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        reports, summary = _COMMANDS[args.command](args)
+        reports, summary = _COMMANDS[args.command][0](args)
         _write_reports(reports, Path(args.out), args.format)
         print("\n".join(summary))
         return EXIT_OK

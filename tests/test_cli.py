@@ -16,6 +16,10 @@ from h2gap import Status, cli, fixtures, track
 from h2gap.cli import main
 
 SNAPSHOT_ARGS = ",".join(str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023))
+# the flags a command cannot run without
+REQUIRED = {"track": ["--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"],
+            "support": ["--budget", "308"]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read_csv(path: Path) -> list[dict]:
@@ -199,6 +203,18 @@ def test_track_overflowing_cohort_exits_3_without_reports(tmp_path, capsys, fina
     assert not out.exists()
 
 
+def test_track_summary_gives_the_cohort_in_gw(tmp_path, capsys):
+    early, final = tmp_path / "snap2021.csv", tmp_path / "snap2023.csv"
+    early.write_text(SNAPSHOT_HEADER + "A,a,DEU,Europe,Concept,2022,1500,false\n"
+                     "B,b,DEU,Europe,Concept,2022,1000,false\n")
+    final.write_text(SNAPSHOT_HEADER + "A,a,DEU,Europe,Operational,2022,1500,false\n"
+                     "B,b,DEU,Europe,Concept,2024,1000,false\n")
+    assert main(["track", "--snapshots", f"{early},{final}", "--target-year", "2022",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert ("cohort 2022: announced 2.500 GW (vintage 2021), realised on time "
+            "1.500 GW\n") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_track_non_finite_last_report_writes_no_report(tmp_path, capsys, monkeypatch,
                                                        fmt):
@@ -267,6 +283,18 @@ def test_gap_calls_lcoh_once_per_year(tmp_path, monkeypatch, carbon):
     assert main(["gap", "--carbon-pricing", carbon, "--horizon", "2045",
                  "--out", str(tmp_path / "out")]) == 0
     assert years == list(range(2024, 2046))   # 22 calls, parity found or not
+
+
+def test_gap_parity_year_is_the_first_with_a_zero_gap(tmp_path, capsys):
+    # a flat gas price equal to the 2030 LCOH makes the 2030 gap exactly 0
+    assert main(["lcoh", "--out", str(tmp_path / "lcoh")]) == 0
+    lcoh_2030 = next(float(r["lcoh"]) for r in _read_csv(tmp_path / "lcoh" / "lcoh.csv")
+                     if r["year"] == "2030")
+    raw = json.loads(fixtures.params_path("central").read_text())
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**raw, "gas_usd_per_mwh": {"2024": lcoh_2030}}))
+    assert main(["gap", "--params", str(params), "--out", str(tmp_path / "gap")]) == 0
+    assert "parity year (central, carbon off): 2030\n" in capsys.readouterr().out
 
 
 def test_lcoh_breakdown_columns(tmp_path):
@@ -575,6 +603,20 @@ def test_ambition_single_scenario_file(tmp_path):
     assert float(rows[0]["gap_gw"]) == pytest.approx(500.0 - 441.0)
 
 
+def test_ambition_counts_a_zero_gap_as_covered(tmp_path, capsys):
+    from h2gap.projects import load_snapshot, pipeline_gw
+
+    pipe = pipeline_gw(load_snapshot(fixtures.snapshot_path(2023), 2023), 2030)
+    reqs = tmp_path / "reqs.csv"
+    reqs.write_text("source,scenario_name,year,capacity_gw,production_mt_per_yr,"
+                    "outlier,approximate\n"
+                    + "".join(f"S{i},s{i},2030,{gw!r},,false,false\n"
+                              for i, gw in enumerate((pipe, pipe + 0.5, pipe + 100.0))))
+    assert main(["ambition", "--scenarios-file", str(reqs),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "(1 of 3 scenarios already covered)\n" in capsys.readouterr().out
+
+
 def test_ambition_empty_scenario_set_exits_2(tmp_path):
     reqs = tmp_path / "reqs.csv"
     reqs.write_text("source,scenario_name,year,capacity_gw,production_mt_per_yr,"
@@ -751,14 +793,12 @@ def test_sweep_covers_all_combinations(tmp_path):
 def test_flag_the_command_does_not_read_is_unrecognized(tmp_path, capsys, command, flag):
     # a command takes only the flags it reads: one it would ignore is a usage
     # error, even with a valid value
-    required = {"track": ["--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"],
-                "support": ["--budget", "308"]}
     value = {"--params": str(fixtures.params_path("central")),
              "--pipeline": str(fixtures.pipeline_path()),
              "--scenarios-file": str(fixtures.requirements_path()),
              "--policy-mt": "7", "--through": "2045"}[flag]
     out = tmp_path / "out"
-    assert main([command, *required.get(command, []), flag, value,
+    assert main([command, *REQUIRED.get(command, []), flag, value,
                  "--out", str(out)]) == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
@@ -787,16 +827,45 @@ def test_usage_error_without_command():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_parser_builds_the_flags_of_its_command_only(command):
+    # the chosen command parses into exactly the flags it declares; every other
+    # command is a bare choice, so it parses into nothing but its name
+    parser = cli.build_parser(command)
+    args = vars(parser.parse_args([command, *REQUIRED.get(command, [])]))
+    flags = cli._COMMANDS[command][2]
+    assert sorted(args) == sorted(["command", *(f[2:].replace("-", "_") for f in flags)])
+    for other in cli._COMMANDS:
+        if other != command:
+            assert vars(parser.parse_args([other])) == {"command": other}
+
+
+def test_readme_command_table_matches_the_parser():
+    # README's table names each command's own and input flags; the usage
+    # order puts the five shared ones between them
+    header = "| command | its own flags | shared input flags | ignores of the five |"
+    rows = README.read_text(encoding="utf-8").split(header)[1].split("\n\n")[0]
+    table = {}
+    for line in rows.splitlines():
+        if line.startswith("| `"):
+            name, *columns = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+            own, inputs, ignored = ([] if c == "none" else c.split(", ") for c in columns)
+            assert set(ignored) <= set(cli._SHARED)
+            table[name] = (*own, *cli._SHARED, *inputs)
+    assert table == {name: flags for name, (_, _, flags) in cli._COMMANDS.items()}
+
+
 # ---------------------------------------------------------------------------
 # One run: the paused collector, the JSON writer and ``python -m h2gap``
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def gc_state():
-    """Restore the collector's setting and callbacks after the test."""
-    enabled, callbacks = gc.isenabled(), list(gc.callbacks)
+    """Restore the collector's setting, thresholds and callbacks after the test."""
+    enabled, threshold, callbacks = gc.isenabled(), gc.get_threshold(), list(gc.callbacks)
     yield
     gc.callbacks[:] = callbacks
+    gc.set_threshold(*threshold)
     if enabled:
         gc.enable()
     else:
@@ -823,7 +892,9 @@ def test_track_runs_without_a_collection(tmp_path, capsys, gc_state):
     argv = ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
             "--out", str(tmp_path / "out")]
     gc.enable()
-    # the same run with the collector left on does collect, so 0 is not vacuous
+    # a low threshold, so that the same run with the collector left on does
+    # collect whatever the parser allocates, and 0 below is not vacuous
+    gc.set_threshold(50)
     assert _collections_during(lambda: cli._run(argv)) > 0
     assert _collections_during(lambda: main(argv)) == 0
     assert gc.isenabled()
@@ -844,7 +915,7 @@ def _raise(args):
 ], ids=["exit-0", "usage", "exit-2", "exit-3", "raises"])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
                                                   gc_state, enabled, argv, code):
-    monkeypatch.setitem(cli._COMMANDS, "lcoh", _raise)
+    monkeypatch.setitem(cli._COMMANDS, "lcoh", (_raise, *cli._COMMANDS["lcoh"][1:]))
     if enabled:
         gc.enable()
     else:

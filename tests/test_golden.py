@@ -241,6 +241,11 @@ ERROR_LINES = [
     # each command's usage text pins the flags it takes
     *([command, "--format", "xml"] for command in ("track", "ambition", "gap",
                                                     "subsidies", "sweep")),
+    # the help texts, and an unknown flag before the command
+    ["--help"],
+    *([command, "--help"] for command in ("track", "ambition", "lcoh", "gap",
+                                          "subsidies", "support", "sweep")),
+    ["--bogus", "lcoh", "--horizon", "2030"],
     ["lcoh", "--out", "<TMP>/blocker/out"],
     ["track", "--snapshots", SNAPS[2021], "--target-year", "2021"],
     ["track", "--snapshots", f"{SNAPS[2021]},{SNAPS[2022]}", "--target-year", "2024"],

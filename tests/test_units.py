@@ -57,6 +57,13 @@ def test_domain_errors(flh, eta):
         capacity_to_production(1.0, flh, eta)
 
 
+@pytest.mark.parametrize("flh,eta", [(1.0, 0.69), (0.5, 1e-9)])
+def test_domain_edges_near_zero_are_accepted(flh, eta):
+    # a single full-load hour, or less, is in (0, 8760]
+    gw = production_to_capacity(1.0, flh, eta)
+    assert capacity_to_production(gw, flh, eta) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_negative_quantities_rejected():
     with pytest.raises(ValueError):
         production_to_capacity(-1.0, 3750.0, 0.69)
