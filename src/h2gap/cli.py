@@ -33,10 +33,10 @@ import csv
 import gc
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 from .units import (DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, LAST_HORIZON_YEAR,
                     SCENARIO_IDS, SnapshotSchemaError)
@@ -126,7 +126,7 @@ def _json_text(rows: list[dict]) -> str:
     return "[\n  {\n    " + body + "\n  }\n]" if rows else "[]"
 
 
-def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> None:
+def _write_reports(reports: dict[str, list[dict]], out_dir: str, fmt: str) -> None:
     """Write every report of a command, or none: a non-finite float anywhere
     raises ValueError (exit 3) before the directory is created."""
     for name, rows in reports.items():
@@ -135,9 +135,9 @@ def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> N
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name}.{fmt}: column {column!r} is not finite "
                                      f"in data row {i}; report not written")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out_dir or ".", exist_ok=True)
     for name, rows in reports.items():
-        path = out_dir / f"{name}.{fmt}"
+        path = os.path.join(out_dir, f"{name}.{fmt}")
         if fmt == "json":
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_json_text(rows) + "\n")
@@ -149,9 +149,9 @@ def _write_reports(reports: dict[str, list[dict]], out_dir: Path, fmt: str) -> N
                     writer.writerows(rows)
 
 
-def _require_file(path_text: str | None, fallback: Path, what: str) -> Path:
-    path = Path(path_text) if path_text else fallback
-    if not path.is_file():
+def _require_file(path: str, what: str) -> str:
+    """``path`` as given, once it names a file; messages name it as typed."""
+    if not os.path.isfile(path):
         raise ConfigError(f"{what} not found: {path}")
     return path
 
@@ -160,23 +160,23 @@ def _load_params(params_file: str | None, scenario: str):
     from . import fixtures
     from .costs import ParamSet
 
-    path = _require_file(params_file, fixtures.params_path(scenario), "parameter file")
+    path = _require_file(params_file or fixtures.params_path(scenario), "parameter file")
     try:
         return ParamSet.from_json(path)
     except ValueError as exc:   # json.JSONDecodeError included
         raise ConfigError(f"bad parameter file {path}: {exc}") from None
 
 
-def _pipeline_path(args) -> Path:
+def _pipeline_path(args) -> str:
     from . import fixtures
 
-    return _require_file(args.pipeline, fixtures.pipeline_path(), "pipeline file")
+    return _require_file(args.pipeline or fixtures.pipeline_path(), "pipeline file")
 
 
-def _requirements_path(args) -> Path:
+def _requirements_path(args) -> str:
     from . import fixtures
 
-    return _require_file(args.scenarios_file, fixtures.requirements_path(),
+    return _require_file(args.scenarios_file or fixtures.requirements_path(),
                          "scenario requirement file")
 
 
@@ -219,7 +219,7 @@ def _naming_pipeline(args):
 
 def _vintage(path) -> int | None:
     """The vintage year a snapshot file name carries: its stem's first four digits."""
-    m = re.search(r"(\d{4})", Path(path).stem)
+    m = re.search(r"(\d{4})", os.path.splitext(os.path.basename(path))[0])
     return int(m.group(1)) if m else None
 
 
@@ -258,7 +258,7 @@ def cmd_track(args):
     if args.target_year > vintages[-1]:
         raise ConfigError(f"--target-year {args.target_year} is after the last "
                           f"vintage {vintages[-1]}")
-    snaps = [load_snapshot(_require_file(p, Path(p), "snapshot"), v)
+    snaps = [load_snapshot(_require_file(p, "snapshot"), v)
              for p, v in zip(paths, vintages)]
     for snap, path in zip(snaps, paths):
         _print_load_report(path, snap)
@@ -314,8 +314,7 @@ def cmd_ambition(args):
     if not year_reqs:
         raise ConfigError(f"no scenario requirements for {args.year}")
     st = stats(reqs, args.year, exclude_outliers=exclude)
-    snap_path = _require_file(args.snapshot, fixtures.snapshot_path(2023),
-                              "snapshot")
+    snap_path = _require_file(args.snapshot or fixtures.snapshot_path(2023), "snapshot")
     snap = load_snapshot(snap_path, _vintage(snap_path) or 0)
     _print_load_report(snap_path, snap)
     pipe_gw = pipeline_gw(snap, args.year)
@@ -526,7 +525,7 @@ def _run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         reports, summary = _COMMANDS[args.command][0](args)
-        _write_reports(reports, Path(args.out), args.format)
+        _write_reports(reports, args.out, args.format)
         print("\n".join(summary))
         return EXIT_OK
     except (ConfigError, SnapshotSchemaError, OSError) as exc:

@@ -62,7 +62,9 @@ class TimeAnchoredSeries:
     so that accidental use of e.g. an electricity price before its calibration
     window fails loudly. Lookups are memoised per series and year: a series
     is immutable, and one subsidy schedule asks for the same few dozen years
-    thousands of times.
+    thousands of times. Series with the same anchors are equal and hash
+    alike, so two loads of one parameter file give equal sets; the memo takes
+    no part.
     """
 
     def __init__(self, anchors: Mapping[int, float]):
@@ -117,6 +119,14 @@ class TimeAnchoredSeries:
 
     def anchors(self) -> dict[int, float]:
         return {int(y): v for y, v in zip(self._years, self._values)}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._years, self._values) == (other._years, other._values)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self._years), tuple(self._values)))
 
     def __repr__(self) -> str:
         return f"TimeAnchoredSeries({self.anchors()!r})"

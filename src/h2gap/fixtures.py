@@ -5,7 +5,9 @@ The package ships a synthetic-but-consistent data bundle under
 conservative), a capacity-addition trajectory for the announced project
 pipeline, a scenario-requirement table and three small project snapshots.
 ``H2GAP_DATA_DIR`` overrides the bundle location, e.g. to point the toolkit
-at real database exports in the same schema.
+at real database exports in the same schema. The path helpers return ``str``
+paths joined with :mod:`os.path`; every loader takes a ``str`` or a
+``pathlib.Path``.
 
 :func:`median_extended_pipeline` continues a pipeline past 2030 along the
 2040 and 2050 scenario medians, the one place that continuation is built.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from pathlib import Path
 
 # CapacityTrajectory is imported by the two functions that build one, so that
 # a caller of the path helpers (``ambition``) does not load the cost side
@@ -31,30 +32,28 @@ __all__ = [
 ENV_DATA_DIR = "H2GAP_DATA_DIR"
 
 
-def data_dir() -> Path:
-    override = os.environ.get(ENV_DATA_DIR)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data" / "fixtures"
+def data_dir() -> str:
+    return (os.environ.get(ENV_DATA_DIR)
+            or os.path.join(os.path.dirname(__file__), "data", "fixtures"))
 
 
-def params_path(scenario_id: str) -> Path:
+def params_path(scenario_id: str) -> str:
     if scenario_id not in SCENARIO_IDS:
         raise ValueError(f"unknown scenario {scenario_id!r}, "
                          f"expected one of {SCENARIO_IDS}")
-    return data_dir() / f"params_{scenario_id}.json"
+    return os.path.join(data_dir(), f"params_{scenario_id}.json")
 
 
-def pipeline_path() -> Path:
-    return data_dir() / "pipeline_additions.csv"
+def pipeline_path() -> str:
+    return os.path.join(data_dir(), "pipeline_additions.csv")
 
 
-def requirements_path() -> Path:
-    return data_dir() / "scenario_requirements.csv"
+def requirements_path() -> str:
+    return os.path.join(data_dir(), "scenario_requirements.csv")
 
 
-def snapshot_path(vintage_year: int) -> Path:
-    return data_dir() / f"snap{vintage_year}.csv"
+def snapshot_path(vintage_year: int) -> str:
+    return os.path.join(data_dir(), f"snap{vintage_year}.csv")
 
 
 def load_pipeline(path) -> CapacityTrajectory:

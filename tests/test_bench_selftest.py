@@ -1,9 +1,12 @@
-"""The benchmark's own unit tests, run as part of the test suite.
+"""The benchmark's and the mutation tool's own unit tests, run as part of the
+test suite.
 
-They pin the layer counts of the subsidy sweep (225/405 LCOH evaluations per
-schedule) and the patch points of ``bench/tracer.py``, so a change to h2gap
-that breaks either fails here without any edit under ``bench/``. An installed
-package has no ``bench/`` directory; the tests are skipped there.
+The benchmark's pin the layer counts of the subsidy sweep (225/405 LCOH
+evaluations per schedule) and the patch points of ``bench/tracer.py``, so a
+change to h2gap that breaks either fails here without any edit under
+``bench/``. The mutation tool's run ``tools/mutate.py`` on a toy module with
+known survivors. An installed package has neither ``bench/`` nor ``tools/``;
+the tests are skipped there.
 """
 
 import ast
@@ -23,6 +26,14 @@ def test_benchmark_unit_tests_pass():
         [sys.executable, "-m", "unittest", "discover", "-s", "bench",
          "-p", "test_*.py"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+@pytest.mark.skipif(not (ROOT / "tools" / "test_mutate.py").is_file(),
+                    reason="tools/ is not part of this tree")
+def test_mutation_tool_unit_tests_pass():
+    proc = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s", "tools"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 

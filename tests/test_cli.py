@@ -67,7 +67,7 @@ def test_track_bad_rows_exit_3_with_diagnostics(tmp_path, capsys):
 def test_non_finite_snapshot_capacity_exits_3_without_reports(tmp_path, capsys,
                                                               capacity):
     snap = tmp_path / "snap2021.csv"
-    snap.write_text(fixtures.snapshot_path(2021).read_text()
+    snap.write_text(Path(fixtures.snapshot_path(2021)).read_text()
                     + f"ZZ-NAN,x,DEU,Europe,Concept,2022,{capacity},false\n")
     out = tmp_path / "out"
     code = main(["track", "--snapshots",
@@ -290,7 +290,7 @@ def test_gap_parity_year_is_the_first_with_a_zero_gap(tmp_path, capsys):
     assert main(["lcoh", "--out", str(tmp_path / "lcoh")]) == 0
     lcoh_2030 = next(float(r["lcoh"]) for r in _read_csv(tmp_path / "lcoh" / "lcoh.csv")
                      if r["year"] == "2030")
-    raw = json.loads(fixtures.params_path("central").read_text())
+    raw = json.loads(Path(fixtures.params_path("central")).read_text())
     params = tmp_path / "params.json"
     params.write_text(json.dumps({**raw, "gas_usd_per_mwh": {"2024": lcoh_2030}}))
     assert main(["gap", "--params", str(params), "--out", str(tmp_path / "gap")]) == 0
@@ -361,7 +361,7 @@ def test_support_zero_budget(tmp_path, capsys):
 def test_support_summary_names_the_pipelines_last_build_year(tmp_path, capsys):
     # the supported total includes the 2031-2035 additions, so it is not "by 2030"
     pipe = tmp_path / "pipe.csv"
-    pipe.write_text(fixtures.pipeline_path().read_text()
+    pipe.write_text(Path(fixtures.pipeline_path()).read_text()
                     + "".join(f"{y},5.0,true\n" for y in range(2031, 2036)))
     assert main(["support", "--budget", "5000", "--pipeline", str(pipe),
                  "--out", str(tmp_path / "o")]) == 0
@@ -432,8 +432,14 @@ def test_out_under_regular_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_out_writes_into_the_current_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lcoh", "--horizon", "2030", "--out", ""]) == 0
+    assert os.listdir(tmp_path) == ["lcoh.csv"]
+
+
 def _edited_params(tmp_path, key, value) -> Path:
-    raw = json.loads(fixtures.params_path("central").read_text())
+    raw = json.loads(Path(fixtures.params_path("central")).read_text())
     raw[key] = value
     path = tmp_path / "params.json"
     path.write_text(json.dumps(raw))
@@ -476,7 +482,7 @@ def test_missing_bundled_params_is_usage_error(tmp_path, capsys, monkeypatch,
     data = tmp_path / "data"
     data.mkdir()
     for name in ("pipeline_additions.csv", "scenario_requirements.csv"):
-        (data / name).write_bytes((fixtures.data_dir() / name).read_bytes())
+        (data / name).write_bytes((Path(fixtures.data_dir()) / name).read_bytes())
     monkeypatch.setenv(fixtures.ENV_DATA_DIR, str(data))
     assert main([command, "--out", str(tmp_path / "out")]) == 2
     assert "parameter file not found" in capsys.readouterr().err
@@ -659,14 +665,14 @@ def test_missing_pipeline_column_exits_2(tmp_path, capsys, column):
 ], ids=["requirements", "pipeline"])
 def test_approximate_column_can_be_left_out(tmp_path, argv, flag, name):
     # the requirement flag reads as false when absent; the pipeline's is not read
-    with open(fixtures.data_dir() / name, newline="") as fh:
+    with open(Path(fixtures.data_dir()) / name, newline="") as fh:
         table = list(csv.reader(fh))
     keep = [i for i, c in enumerate(table[0]) if c != "approximate"]
     assert len(keep) == len(table[0]) - 1
     trimmed = tmp_path / name
     trimmed.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in table))
     reports = []
-    for i, path in enumerate((fixtures.data_dir() / name, trimmed)):
+    for i, path in enumerate((Path(fixtures.data_dir()) / name, trimmed)):
         out = tmp_path / f"out{i}"
         assert main([*argv, flag, str(path), "--out", str(out)]) == 0
         reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
@@ -723,7 +729,7 @@ def test_input_row_errors_name_physical_lines(tmp_path, capsys, argv, flag, text
 def test_input_that_is_not_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, name,
                                                             argv, tail, message):
     bad = tmp_path / name
-    bad.write_bytes((fixtures.data_dir() / name).read_bytes() + tail)
+    bad.write_bytes((Path(fixtures.data_dir()) / name).read_bytes() + tail)
     # a track run names the bad one of its three snapshots
     arg = SNAPSHOT_ARGS.replace(str(fixtures.snapshot_path(2022)), str(bad)) \
         if argv[0] == "track" else str(bad)
@@ -755,7 +761,7 @@ def test_ambition_non_finite_requirement_exits_3(tmp_path, capsys, capacity):
 def test_input_csv_with_byte_order_mark_reads_the_same(tmp_path, argv, flag, name):
     # spreadsheet exports start a UTF-8 CSV with a byte-order mark, and some
     # editors save JSON with one
-    plain = fixtures.data_dir() / name
+    plain = Path(fixtures.data_dir()) / name
     marked = tmp_path / "bom" / name
     marked.parent.mkdir()
     marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+from pathlib import Path
 
 import pytest
 
@@ -313,7 +314,20 @@ def test_copies_are_built_by_the_constructor(pipeline_traj):
     lcoh(2030, pipeline_traj, params)
     for copied in (copy.copy(params), pickle.loads(pickle.dumps(params))):
         assert type(copied) is ParamSet and repr(copied) == repr(params)
+        assert copied == params and hash(copied) == hash(params)
         assert copied._lcoh_memo == {}
+
+
+def test_sets_with_equal_anchors_are_equal(pipeline_traj):
+    params = ParamSet.builtin("central")
+    again = ParamSet.builtin("central")
+    lcoh(2030, pipeline_traj, params)   # a filled memo takes no part
+    assert again == params and hash(again) == hash(params)
+    prices = params.gas_price.anchors()
+    prices[min(prices)] += 1.0
+    changed = params.replace(gas_price=TimeAnchoredSeries(prices))
+    assert changed != params and changed.gas_price != params.gas_price
+    assert params.gas_price != prices   # a series equals no other type
 
 
 def test_builtin_names_a_bundled_set():
@@ -350,7 +364,7 @@ def test_from_dict_missing_key():
 ], ids=["bool", "false", "string", "null", "series-bool", "series-value",
         "series-key", "series-empty", "series-number", "huge-int", "series-year-twice"])
 def test_from_dict_errors_name_the_key(key, value, message):
-    raw = json.loads(fixtures.params_path("central").read_text())
+    raw = json.loads(Path(fixtures.params_path("central")).read_text())
     with pytest.raises(ValueError, match=f"^{key}: {re.escape(message)}"):
         ParamSet.from_dict({**raw, key: value})
 
@@ -361,7 +375,7 @@ def test_from_dict_errors_name_the_key(key, value, message):
 ], ids=["top-level", "series"])
 def test_from_json_rejects_a_key_given_twice(tmp_path, duplicate, key):
     # json.load would keep the later value; the file's last "}" closes the object
-    text = fixtures.params_path("central").read_text().rstrip()
+    text = Path(fixtures.params_path("central")).read_text().rstrip()
     path = tmp_path / "params.json"
     path.write_text(f"{text[:-1]}, {duplicate}}}")
     with pytest.raises(ValueError, match=f"key '{key}' is given twice"):
@@ -556,7 +570,7 @@ def test_lcoh_equals_per_call_formulas_bit_for_bit():
     rng = random.Random(20240)
     for k in range(48):
         scenario = ("central", "progressive", "conservative")[k % 3]
-        raw = json.loads(fixtures.params_path(scenario).read_text())
+        raw = json.loads(Path(fixtures.params_path(scenario)).read_text())
         params = ParamSet.from_dict(_perturbed_raw(rng, raw))
         for year in range(2024, 2101):
             want_lcoh, want_inv = _per_call_lcoh(year, traj, params)

@@ -38,7 +38,7 @@ PIPELINE_HEADER = "year,additions_gw,approximate\n"
 
 
 def _bundled(name: str) -> bytes:
-    return (fixtures.data_dir() / name).read_bytes()
+    return (Path(fixtures.data_dir()) / name).read_bytes()
 
 
 def _params(**changes) -> bytes:
@@ -259,6 +259,12 @@ ERROR_LINES = [
     ["track", "--snapshots", f"{SNAPS[2021]},<TMP>/nodigits.csv", "--target-year", "2021"],
     ["ambition", "--year", "2035"],
     ["ambition", "--snapshot", "<TMP>/absent.csv"],
+    # a file is named in messages as typed: a "." segment, a doubled slash and
+    # a trailing slash after a file name
+    ["lcoh", "--params", "<TMP>/./absent.json"],
+    ["ambition", "--snapshot", "<TMP>//snap2023_bom.csv"],
+    ["lcoh", "--params", "<TMP>/params_bom.json/"],
+    ["track", "--snapshots", f"{SNAPS[2021]}/,{SNAPS[2022]}", "--target-year", "2021"],
     # capacity_increased flows, which the bundled snapshots never book
     *(["track", "--snapshots", "<TMP>/snap_grow_2021.csv,<TMP>/snap_grow_2022.csv",
        "--target-year", "2022", "--format", fmt] for fmt in FORMATS),

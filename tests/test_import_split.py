@@ -4,8 +4,10 @@
 ``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only, and
 ``import h2gap.scenarios`` adds no cost-side module. The five cost
 commands never load the project side, and ``track`` and ``ambition`` never
-the cost side. No command loads ``typing``; ``lcoh``, ``gap``, ``ambition``
-and ``track`` load neither ``dataclasses`` nor ``inspect`` either.
+the cost side. No command loads ``typing`` or ``pathlib``, and neither do
+``import h2gap.cli`` and ``import h2gap.fixtures``; ``lcoh``, ``gap``,
+``ambition`` and ``track`` load neither ``dataclasses`` nor ``inspect``
+either.
 
 Each check runs in a fresh interpreter, because this test process has
 imported everything already; only the modules loaded after the
@@ -64,6 +66,11 @@ def test_import_loads_only_what_it_names(tmp_path, statement, package):
     assert _package(_modules_loaded_by(statement, tmp_path)) == package
 
 
+@pytest.mark.parametrize("statement", ["import h2gap.cli", "import h2gap.fixtures"])
+def test_paths_are_handled_without_pathlib(tmp_path, statement):
+    assert "pathlib" not in _modules_loaded_by(statement, tmp_path)
+
+
 def test_star_import_gives_every_export_from_its_module():
     namespace = {}
     exec("from h2gap import *", namespace)
@@ -112,7 +119,7 @@ def test_only_the_subsidy_commands_load_dataclasses(tmp_path, argv):
         assert {"dataclasses", "inspect"} <= loaded
     else:
         assert not loaded & {"dataclasses", "inspect"}
-    assert "typing" not in loaded
+    assert not loaded & {"typing", "pathlib"}
     if argv[0] in ("lcoh", "gap"):
         # the per-year cost path, gas_cost included, is h2gap.costs alone
         assert "h2gap.subsidies" not in loaded

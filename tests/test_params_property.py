@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from h2gap import fixtures
 from h2gap.cli import main
 
-CENTRAL = json.loads(fixtures.params_path("central").read_text())
+CENTRAL = json.loads(Path(fixtures.params_path("central")).read_text())
 SERIES = sorted(k for k, v in CENTRAL.items() if isinstance(v, dict))
 NUMBERS = sorted(k for k, v in CENTRAL.items() if isinstance(v, (int, float)))
 

@@ -53,7 +53,7 @@ KINDS = {
 def _corrupted_file(data, kind):
     """Draw a corrupted copy of a bundled file: (bytes, physical lines of its bad rows)."""
     _, name, bad_rows = KINDS[kind]
-    header, *bundled = (fixtures.data_dir() / name).read_text().splitlines()
+    header, *bundled = (Path(fixtures.data_dir()) / name).read_text().splitlines()
     records = [(row, False) for row in bundled]     # (text, is a bad row)
     for i in range(data.draw(st.integers(1, 3), label="bad rows")):
         choice = data.draw(st.integers(0, len(bad_rows)), label="kind of row")

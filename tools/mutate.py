@@ -22,14 +22,15 @@ As many copies as the host has CPUs run at once. A mutant runs the stages in
 order and is killed by the first that fails or times out, so each stage runs
 ``pytest -x``. The stages are tier-1 without ``tests/test_bench_selftest.py``
 and then all of tier-1: most mutants die in the first, and only its survivors
-pay for the benchmark's own unit tests. Before any mutant, the baseline must
-pass every stage; each stage's timeout is five times its baseline time, and at
-least a minute.
+pay for the benchmark's and this tool's own unit tests. Before any mutant, the
+baseline must pass every stage; each stage's timeout is five times its
+baseline time, and at least a minute.
 
 The survivors print to stdout, one ``file:line kind detail (col N)`` a line,
 at the line and column of the changed node in the original source, and the
 progress and a per-file tally to stderr. It takes minutes to hours, so it is
-not part of tier-1; its own test is ``python3 -m unittest discover -s tools``.
+not part of tier-1; its own test, ``python3 -m unittest discover -s tools``,
+is (``tests/test_bench_selftest.py``).
 """
 
 from __future__ import annotations
