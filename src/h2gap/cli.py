@@ -14,7 +14,9 @@ problems; 3 for data-validation failures in otherwise well-formed inputs
 (bad row values are reported with line numbers) and for a report value that
 comes out non-finite (no ``nan``/``inf`` is ever written). A command writes
 all of its reports or none: every report is built and checked before the
-output directory is created.
+output directory is created. Its stdout summary is printed only after that,
+and a reader that closes stdout early does not turn the written run into
+an error: it still exits 0.
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values. JSON reports
@@ -260,8 +262,6 @@ def cmd_track(args):
                           f"vintage {vintages[-1]}")
     snaps = [load_snapshot(_require_file(p, "snapshot"), v)
              for p, v in zip(paths, vintages)]
-    for snap, path in zip(snaps, paths):
-        _print_load_report(path, snap)
 
     report = track(snaps, args.target_year)
     rates = fate_rates(report)
@@ -270,7 +270,8 @@ def cmd_track(args):
     rate_rows = [{"group": "total", **rates.total._asdict()}]
     rate_rows += [{"group": status.value, **shares._asdict()}
                   for status, shares in rates.by_status.items()]
-    summary = [f"\ncohort {args.target_year}: announced "
+    summary = [_load_line(path, snap) for path, snap in zip(paths, snaps)]
+    summary += [f"\ncohort {args.target_year}: announced "
                f"{report.announced_mw / 1000.0:.3f} GW (vintage "
                f"{report.earlier_vintage}), realised on time "
                f"{report.realized_mw / 1000.0:.3f} GW",
@@ -296,10 +297,10 @@ def cmd_track(args):
              "capacity_gw": f.capacity_gw} for f in sankey.flows]}, summary
 
 
-def _print_load_report(path, snap) -> None:
+def _load_line(path, snap) -> str:
     rep = snap.load_report
     reasons = f" {dict(rep.dropped_reasons)}" if rep.dropped else ""
-    print(f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped{reasons}")
+    return f"loaded {path}: {rep.kept} kept, {rep.dropped} dropped{reasons}"
 
 
 def cmd_ambition(args):
@@ -316,7 +317,6 @@ def cmd_ambition(args):
     st = stats(reqs, args.year, exclude_outliers=exclude)
     snap_path = _require_file(args.snapshot or fixtures.snapshot_path(2023), "snapshot")
     snap = load_snapshot(snap_path, _vintage(snap_path) or 0)
-    _print_load_report(snap_path, snap)
     pipe_gw = pipeline_gw(snap, args.year)
 
     stat_rows = [{"year": st.year, "n": st.n, "min_gw": st.minimum,
@@ -328,6 +328,7 @@ def cmd_ambition(args):
                  "gap_gw": ambition_gap(r.capacity_gw, pipe_gw)}
                 for r in sorted(year_reqs, key=lambda r: (r.capacity_gw, r.source))]
     summary = [
+        _load_line(snap_path, snap),
         f"requirements {args.year}: n={st.n} median={st.median:.0f} GW "
         f"IQR {st.q1:.0f}-{st.q3:.0f} GW range {st.minimum:.0f}-{st.maximum:.0f} GW",
         f"pipeline through {args.year}: {pipe_gw:.1f} GW",
@@ -526,7 +527,16 @@ def _run(argv) -> int:
     try:
         reports, summary = _COMMANDS[args.command][0](args)
         _write_reports(reports, args.out, args.format)
-        print("\n".join(summary))
+        try:
+            # flushed here, so that a reader gone early (``| head``) shows
+            # up now rather than in the interpreter's flush at exit
+            print("\n".join(summary), flush=True)
+        except BrokenPipeError:
+            # the reports are written, so the run succeeded; what is left
+            # of stdout, the flush at exit included, goes to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_OK
     except (ConfigError, SnapshotSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,10 @@ series lookups are memoised by year, and each :class:`ParamSet` memoises
 fixed, the year and the learning ratio ``C_t / C_base`` determine the whole
 breakdown, and demand-side support does not enter it, so trajectories that
 share those values share entries. The records are immutable, and an error is
-never stored.
+never stored. A :class:`CapacityTrajectory` answers ``C_t`` for a build year
+by lookup, so a memo hit costs one dict lookup for ``C_t`` and one for the
+record. Both ledger sites in :mod:`h2gap.subsidies` read a cohort's locked
+LCOH and efficiency from that one record.
 
 This module holds the whole per-year cost path, :func:`lcoh` and
 :func:`gas_cost`, and imports neither ``dataclasses`` nor ``typing``, so the
@@ -372,6 +375,9 @@ class CapacityTrajectory:
         # up to Python 3.11: ``_running[k]`` covers the first k build years
         self._years = list(self._additions)
         self._running = [0.0, *accumulate(self._additions.values())]
+        # C_t of each build year, the value the bisection below finds for it
+        self._at_build_year = {y: self.base_capacity_gw + total
+                               for y, total in zip(self._years, self._running[1:])}
         # net additions aligned with ``_years``, the subtraction of net_addition
         self._net = [a - self._supported[y] for y, a in self._additions.items()]
 
@@ -394,7 +400,14 @@ class CapacityTrajectory:
         return self.addition(year) - self.supported(year)
 
     def cumulative(self, year: int) -> float:
-        """Cumulative capacity (GW) at the end of ``year``."""
+        """Cumulative capacity (GW) at the end of ``year``.
+
+        A build year is answered by lookup; any other year is truncated to an
+        ``int``, checked against the base year and bisected.
+        """
+        value = self._at_build_year.get(year)
+        if value is not None:
+            return value
         year = int(year)
         if year < self.base_year:
             raise ValueError(f"year {year} is before the base year {self.base_year}")

@@ -93,8 +93,10 @@ def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
     flat_from = max(max(params.gas_price.anchors()), max(params.co2_price.anchors()))
     gas: dict[int, float] = {}
     costs = {}
+    flh = params.full_load_hours
     for build_year in trajectory.build_years:
-        locked_lcoh = lcoh(build_year, trajectory, params).total
+        locked = lcoh(build_year, trajectory, params)
+        locked_lcoh = locked.total
         final = build_year + payments - 1     # last payment year
         last = min(final, max(build_year, flat_from))
         gaps = []
@@ -104,8 +106,7 @@ def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
             gaps.append(max(0.0, locked_lcoh - gas[t]))
         total_gap = sum(gaps) + (final - last) * gaps[-1]
         # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
-        costs[build_year] = params.full_load_hours \
-            * params.efficiency.at(build_year) * total_gap * 1e-6
+        costs[build_year] = flh * locked.efficiency * total_gap * 1e-6
     return costs
 
 
@@ -119,6 +120,7 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
     """
     payments = _payback_payments(params)
     gas_total = gas_cost(year, params, carbon_pricing)
+    flh = params.full_load_hours
     # the cohorts built in [year - tau + 1, year], found by bisection: the
     # cost is O(log n + active cohorts) whatever the payback period
     years = trajectory._years
@@ -128,11 +130,12 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
     for build_year, net in zip(years[lo:hi], trajectory._net[lo:hi]):
         if net <= 0.0:
             continue
-        gap = lcoh(build_year, trajectory, params).total - gas_total
+        # the cohort's LCOH and efficiency, both locked at its build year
+        locked = lcoh(build_year, trajectory, params)
+        gap = locked.total - gas_total
         if gap <= 0.0:
             continue
-        total += net * params.full_load_hours \
-            * params.efficiency.at(build_year) * gap * 1e-6
+        total += net * flh * locked.efficiency * gap * 1e-6
     return total
 
 

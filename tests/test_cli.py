@@ -965,3 +965,47 @@ def test_python_dash_m_runs_the_command(tmp_path):
     assert (tmp_path / "out" / "lcoh.csv").is_file()
     proc = run("--help")
     assert proc.returncode == 0 and proc.stdout.startswith("usage: h2gap")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_a_finished_run_with_exit_0(tmp_path, unbuffered):
+    # ``h2gap track ... | head -c 10``: the reader is gone before the summary
+    # is printed, whether stdout is flushed per write or at exit
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "h2gap", "track", "--snapshots", SNAPSHOT_ARGS,
+            "--target-year", "2022", "--out"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([*argv, str(tmp_path / "closed")], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    reference = subprocess.run([*argv, str(tmp_path / "open")], env=env,
+                               capture_output=True, timeout=60)
+    assert reference.returncode == 0, reference.stderr
+    names = sorted(os.listdir(tmp_path / "open"))
+    assert names == ["fate_rates.csv", "sankey_flows.csv", "sankey_nodes.csv",
+                     "transitions.csv"]
+    assert sorted(os.listdir(tmp_path / "closed")) == names
+    for name in names:
+        assert (tmp_path / "closed" / name).read_bytes() \
+            == (tmp_path / "open" / name).read_bytes()
+
+
+def test_failed_track_prints_no_load_lines(tmp_path, capsys):
+    # the loaded lines are part of the summary, printed once the reports exist
+    code = main(["track", "--snapshots",
+                 f"{fixtures.snapshot_path(2021)},{fixtures.snapshot_path(2023)}",
+                 "--target-year", "2023", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: vintage 2021 lists no project with launch year 2023\n"
+    assert not (tmp_path / "out").exists()

@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from h2gap import (
     CapacityTrajectory,
@@ -145,6 +147,48 @@ def test_cumulative_equals_summing_the_additions(pipeline_traj, extended_traj):
         for year in range(traj.base_year, traj.last_year + 3):
             assert traj.cumulative(year) == \
                 traj.base_capacity_gw + sum(v for y, v in adds if y <= year)
+
+
+def _left_to_right(base: float, values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return base + total
+
+
+@given(base_year=st.integers(2000, 2035),
+       base=st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False),
+       additions=st.dictionaries(st.integers(1, 40),
+                                 st.floats(0.0, 1e3, allow_nan=False,
+                                           allow_infinity=False),
+                                 max_size=12))
+def test_cumulative_lookup_equals_the_ordered_sum(base_year, base, additions):
+    # build years drawn with gaps, handed over in draw order: a build year is
+    # answered by lookup, every other year by bisection, and both must equal
+    # the additions summed in build-year order
+    adds = {base_year + offset: value for offset, value in additions.items()}
+    traj = CapacityTrajectory(base_year, base, adds)
+    build_years = sorted(adds)
+    last = build_years[-1] if build_years else base_year
+
+    def expected(year):
+        return _left_to_right(base, (adds[y] for y in build_years if y <= year))
+
+    gaps = [y for y in range(base_year, last) if y not in adds]
+    for year in [*build_years, *gaps, last + 1, last + 7]:
+        assert traj.cumulative(year) == expected(year)
+        assert traj.cumulative(float(year)) == expected(year)
+    for year in (2030.0, 2030.5):
+        if base_year <= 2030:
+            assert traj.cumulative(year) == expected(2030)
+        else:
+            with pytest.raises(ValueError, match="before the base year"):
+                traj.cumulative(year)
+    for year in (base_year - 1, base_year - 10, float(base_year - 1)):
+        with pytest.raises(ValueError, match="before the base year"):
+            traj.cumulative(year)
+    with pytest.raises(ValueError):
+        traj.cumulative(math.nan)
 
 
 def test_trajectory_validation():

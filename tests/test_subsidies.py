@@ -303,6 +303,58 @@ def test_schedule_lcoh_and_payment_year_counts(central, pipeline_traj, monkeypat
     assert counts == {"lcoh": lcoh_calls, "annual_subsidies": payment_years}
 
 
+def _counting_series_lookups(monkeypatch) -> list:
+    """Patch ``TimeAnchoredSeries.at`` to record each call; returns the record."""
+    import h2gap.costs
+    calls = []
+    at = h2gap.costs.TimeAnchoredSeries.at
+
+    def counting(self, year):
+        calls.append(year)
+        return at(self, year)
+
+    monkeypatch.setattr(h2gap.costs.TimeAnchoredSeries, "at", counting)
+    return calls
+
+
+@pytest.mark.parametrize("horizon, carbon, cold, warm", [
+    (2045, False, 88, 22), (2045, True, 110, 44),
+    (2100, False, 158, 77), (2100, True, 235, 154)])
+def test_schedule_series_lookup_counts(central, pipeline_traj, monkeypatch,
+                                       horizon, carbon, cold, warm):
+    # a schedule asked for again looks up only the gas side: the gas price,
+    # and with carbon pricing the CO2 price, once per payment year. A cohort
+    # reads its locked efficiency from the memoised LCOH record, so the
+    # first schedule adds only the three series of each learning state's
+    # LCOH (efficiency, stack lifetime, electricity price): 22 at 2045, 27
+    # at 2100
+    supported = demand_supported_additions(central, pipeline_traj)
+    traj = fixtures.median_extended_pipeline(horizon).with_supported(supported)
+    params = ParamSet.builtin("central")        # its memos are empty
+    calls = _counting_series_lookups(monkeypatch)
+    cumulative_subsidies(traj, params, carbon, horizon)
+    assert len(calls) == cold
+    calls.clear()
+    cumulative_subsidies(traj, params, carbon, horizon)
+    assert len(calls) == warm == (horizon - 2023) * (2 if carbon else 1)
+
+
+@pytest.mark.parametrize("carbon, cold, warm", [(False, 43, 22), (True, 64, 43)])
+def test_budget_inversion_series_lookup_counts(pipeline_traj, monkeypatch,
+                                               carbon, cold, warm):
+    # one efficiency lookup for the 2030 policy volume, the gas side of the
+    # 21 payment years 2024-2044, and on a cold set the three LCOH series of
+    # each of the 7 build years; the unit costs read each cohort's efficiency
+    # from its LCOH record
+    params = ParamSet.builtin("central")
+    calls = _counting_series_lookups(monkeypatch)
+    capacity_supported_by_budget(308.0, params, carbon, pipeline_traj)
+    assert len(calls) == cold
+    calls.clear()
+    capacity_supported_by_budget(308.0, params, carbon, pipeline_traj)
+    assert len(calls) == warm
+
+
 @pytest.mark.parametrize("carbon", [False, True])
 @pytest.mark.parametrize("horizon, learning_states", [(2045, 22), (2100, 27)])
 def test_schedule_computes_each_learning_state_once(central, pipeline_traj, monkeypatch,
