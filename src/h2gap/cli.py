@@ -13,10 +13,13 @@ Exit codes: 0 on success; 2 for usage, configuration and file/schema
 problems; 3 for data-validation failures in otherwise well-formed inputs
 (bad row values are reported with line numbers) and for a report value that
 comes out non-finite (no ``nan``/``inf`` is ever written). A command writes
-all of its reports or none: every report is built and checked before the
-output directory is created. Its stdout summary is printed only after that,
-and a reader that closes stdout early does not turn the written run into
-an error: it still exits 0.
+all of its reports or none: every report is built and checked, and no
+target may be a directory, before the output directory is created; each
+report is written to a hidden file there, and all are moved into place only
+once every one is written. A failure leaves the directory as it was; only a
+crash between two of those moves can leave new reports next to old ones.
+The stdout summary is printed only after that, and a reader that closes
+stdout early does not turn the written run into an error: it still exits 0.
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values. JSON reports
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import json
 import math
@@ -128,27 +132,55 @@ def _json_text(rows: list[dict]) -> str:
     return "[\n  {\n    " + body + "\n  }\n]" if rows else "[]"
 
 
+def _write_rows(fh, rows: list[dict], fmt: str) -> None:
+    if fmt == "json":
+        fh.write(_json_text(rows) + "\n")
+    elif rows:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _write_reports(reports: dict[str, list[dict]], out_dir: str, fmt: str) -> None:
-    """Write every report of a command, or none: a non-finite float anywhere
-    raises ValueError (exit 3) before the directory is created."""
+    """Write every report of a command, or none.
+
+    Before anything is created, a non-finite float anywhere raises
+    ValueError (exit 3) and a target that is a directory raises
+    IsADirectoryError (exit 2). Each report then streams into a hidden
+    ``.<name>.<fmt>.<pid>.tmp`` in ``out_dir``, created exclusively, and only
+    once all of them are written does ``os.replace`` move each into place.
+    Any failure before that removes the hidden files, so every failure the
+    program sees leaves ``out_dir`` as it was. A crash between two
+    ``os.replace`` calls (the process killed, the machine down) can still
+    leave new reports next to old ones.
+    """
     for name, rows in reports.items():
         for i, row in enumerate(rows, 1):
             for column, value in row.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name}.{fmt}: column {column!r} is not finite "
                                      f"in data row {i}; report not written")
+    paths = [os.path.join(out_dir, f"{name}.{fmt}") for name in reports]
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     os.makedirs(out_dir or ".", exist_ok=True)
-    for name, rows in reports.items():
-        path = os.path.join(out_dir, f"{name}.{fmt}")
-        if fmt == "json":
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(rows) + "\n")
-        else:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                if rows:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                    writer.writeheader()
-                    writer.writerows(rows)
+    hidden = []
+    try:
+        for name, rows in reports.items():
+            tmp = os.path.join(out_dir, f".{name}.{fmt}.{os.getpid()}.tmp")
+            # "x" opens with O_CREAT | O_EXCL: never another run's file
+            with open(tmp, "x", newline="" if fmt == "csv" else None,
+                      encoding="utf-8") as fh:
+                hidden.append(tmp)
+                _write_rows(fh, rows, fmt)
+        for tmp, path in zip(hidden, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in hidden:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 def _require_file(path: str, what: str) -> str:

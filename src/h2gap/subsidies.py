@@ -76,10 +76,6 @@ def demand_supported_additions(params: ParamSet, pipeline: CapacityTrajectory,
     return {y: total * pipeline.addition(y) / window_additions for y in years}
 
 
-def _payback_payments(params: ParamSet) -> int:
-    return int(math.ceil(params.payback_period))
-
-
 def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
                 carbon_pricing: bool) -> dict[int, float]:
     """Subsidy per GW built in each build year over its payback window ($bn/GW).
@@ -87,7 +83,7 @@ def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
     The gas total of a payment year is looked up once per call, whichever
     cohorts pay in it.
     """
-    payments = _payback_payments(params)
+    payments = math.ceil(params.payback_period)
     # gas is flat from the later of its and the CO2 price's last anchors on, so
     # the payment years after that one repeat its gap: add them in closed form
     flat_from = max(max(params.gas_price.anchors()), max(params.co2_price.anchors()))
@@ -118,7 +114,7 @@ def annual_subsidies(year: int, trajectory: CapacityTrajectory, params: ParamSet
     LCOH stays locked at the build year while the gas reference follows the
     payment year.
     """
-    payments = _payback_payments(params)
+    payments = math.ceil(params.payback_period)
     gas_total = gas_cost(year, params, carbon_pricing)
     flh = params.full_load_hours
     # the cohorts built in [year - tau + 1, year], found by bisection: the
@@ -211,12 +207,14 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     at the full-pipeline learning trajectory (no learning feedback from the
     smaller funded build-out).
 
-    ``allocation='chronological'`` fills build years in order until the money
-    runs out, which mirrors projects coming online as announced;
-    ``allocation='uniform'`` instead scales every year's net additions by one
-    factor ``budget / full_cost``, exact because spend is linear in it. A
-    budget at or above the full-pipeline requirement returns the whole
-    pipeline with ``saturated=True``.
+    One rule for both allocations: a cohort of unit cost 0 (at parity over
+    its whole payback window) needs no money and is counted in full.
+    ``allocation='chronological'`` pays for the others in build-year order
+    until the money runs out (full cohorts, one partial, then none), which
+    mirrors projects coming online as announced; ``allocation='uniform'``
+    scales each of them by one factor ``budget / full_cost``, exact because
+    spend is linear in it. A budget at or above the full-pipeline requirement
+    funds the whole net pipeline with ``saturated=True``.
     """
     if not budget_busd >= 0.0:
         raise ValueError(f"budget must be >= 0, got {budget_busd}")
@@ -229,31 +227,26 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     unit_cost = _unit_costs(traj, params, carbon_pricing)
     net = dict(zip(build_years, traj._net))
     full_cost = sum(net[y] * unit_cost[y] for y in build_years)
-    demand_total = sum(supported.values())
+    saturated = budget_busd >= full_cost
 
-    if budget_busd >= full_cost:
-        return BudgetSupportResult(
-            budget_busd=budget_busd, subsidy_supported_gw=sum(net.values()),
-            demand_supported_gw=demand_total, spent_busd=full_cost,
-            saturated=True, allocation=allocation, per_year_gw=dict(net))
-
-    per_year: dict[int, float] = {y: 0.0 for y in build_years}
-    if allocation == "chronological":
+    per_year = dict(net)   # the saturated result; cohorts at parity keep it
+    if not saturated and allocation == "chronological":
         remaining = budget_busd
         for y in build_years:
             cost = net[y] * unit_cost[y]
             if cost <= remaining:
-                per_year[y] = net[y]
                 remaining -= cost
             else:
+                # the partial cohort; a later one gets 0/unit cost, or its net at parity
                 per_year[y] = remaining / unit_cost[y]
-                break
-    else:
+                remaining = 0.0
+    elif not saturated:
         lam = budget_busd / full_cost   # full_cost > budget >= 0 here
-        per_year = {y: lam * net[y] for y in build_years}
+        per_year = {y: lam * net[y] if unit_cost[y] > 0.0 else net[y]
+                    for y in build_years}
 
-    spent = sum(per_year[y] * unit_cost[y] for y in build_years)
     return BudgetSupportResult(
         budget_busd=budget_busd, subsidy_supported_gw=sum(per_year.values()),
-        demand_supported_gw=demand_total, spent_busd=spent, saturated=False,
-        allocation=allocation, per_year_gw=per_year)
+        demand_supported_gw=sum(supported.values()),
+        spent_busd=sum(per_year[y] * unit_cost[y] for y in build_years),
+        saturated=saturated, allocation=allocation, per_year_gw=per_year)

@@ -237,6 +237,66 @@ def test_track_non_finite_last_report_writes_no_report(tmp_path, capsys, monkeyp
     assert not out.exists()   # the three reports before it are not written either
 
 
+def _tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every entry under ``root`` by relative path: a file's bytes, a directory None."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            tree[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            tree[os.path.relpath(path, root)] = Path(path).read_bytes()
+    return tree
+
+
+TRACK_2022 = ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022"]
+# a run whose four reports differ from TRACK_2022's
+TRACK_2021 = ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2021"]
+
+
+def test_directory_in_place_of_a_report_leaves_the_earlier_set(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*TRACK_2022, "--out", str(out)]) == 0
+    (out / "fate_rates.csv").unlink()
+    (out / "fate_rates.csv").mkdir()
+    (out / "fate_rates.csv" / "keep.txt").write_text("x")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main([*TRACK_2021, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [Errno 21] Is a directory: "
+                            f"{str(out / 'fate_rates.csv')!r}\n")
+    assert captured.out == ""
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_report_write_leaves_out_unchanged(tmp_path, capsys, monkeypatch, fmt):
+    out = tmp_path / "out"
+    assert main([*TRACK_2022, "--format", fmt, "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    assert len(before) == 4
+    real = cli._write_rows
+    written = []
+
+    def third_write_fails(fh, rows, fmt):
+        written.append(fh.name)
+        if len(written) == 3:
+            fh.write("partial")
+            raise OSError(28, "No space left on device")
+        real(fh, rows, fmt)
+
+    monkeypatch.setattr(cli, "_write_rows", third_write_fails)
+    capsys.readouterr()
+    assert main([*TRACK_2021, "--format", fmt, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert [os.path.basename(name) for name in written] \
+        == [f".{name}.{fmt}.{os.getpid()}.tmp"
+            for name in ("transitions", "fate_rates", "sankey_nodes")]
+    assert _tree_bytes(out) == before   # no hidden file is left either
+
+
 # ---------------------------------------------------------------------------
 # gap / lcoh
 # ---------------------------------------------------------------------------
@@ -998,6 +1058,26 @@ def test_closed_stdout_ends_a_finished_run_with_exit_0(tmp_path, unbuffered):
     for name in names:
         assert (tmp_path / "closed" / name).read_bytes() \
             == (tmp_path / "open" / name).read_bytes()
+
+
+def test_closed_stdout_run_leaves_no_descriptor_open(tmp_path):
+    # main called in process: the null device it points stdout at is closed
+    # again, so the next descriptor opened gets the same number as before
+    argv = ["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
+            "--out", str(tmp_path / "out")]
+    code = ("import os, sys\nfrom h2gap.cli import main\n"
+            "free = os.open(os.devnull, os.O_RDONLY)\nos.close(free)\n"
+            f"code = main({argv!r})\n"
+            "sys.stderr.write(f'{code} {os.open(os.devnull, os.O_RDONLY) - free}')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == "0 0"
 
 
 def test_failed_track_prints_no_load_lines(tmp_path, capsys):

@@ -4,10 +4,11 @@
 ``import h2gap.cli`` loads the stdlib and ``h2gap.units`` only, and
 ``import h2gap.scenarios`` adds no cost-side module. The five cost
 commands never load the project side, and ``track`` and ``ambition`` never
-the cost side. No command loads ``typing`` or ``pathlib``, and neither do
-``import h2gap.cli`` and ``import h2gap.fixtures``; ``lcoh``, ``gap``,
-``ambition`` and ``track`` load neither ``dataclasses`` nor ``inspect``
-either.
+the cost side. No command loads ``typing``, ``pathlib`` or ``tempfile``
+(each report goes to a hidden file that the CLI names itself), and
+``import h2gap.cli`` and ``import h2gap.fixtures`` load neither of the
+first two; ``lcoh``, ``gap``, ``ambition`` and ``track`` load neither
+``dataclasses`` nor ``inspect`` either.
 
 Each check runs in a fresh interpreter, because this test process has
 imported everything already; only the modules loaded after the
@@ -119,7 +120,7 @@ def test_only_the_subsidy_commands_load_dataclasses(tmp_path, argv):
         assert {"dataclasses", "inspect"} <= loaded
     else:
         assert not loaded & {"dataclasses", "inspect"}
-    assert not loaded & {"typing", "pathlib"}
+    assert not loaded & {"typing", "pathlib", "tempfile"}
     if argv[0] in ("lcoh", "gap"):
         # the per-year cost path, gas_cost included, is h2gap.costs alone
         assert "h2gap.subsidies" not in loaded

@@ -20,7 +20,7 @@ from h2gap import (
 )
 from h2gap.costs import annuity_factor
 from h2gap.subsidies import _unit_costs
-from h2gap.units import capacity_to_production, production_to_capacity
+from h2gap.units import DEFAULT_POLICY_MT, capacity_to_production, production_to_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +442,63 @@ def _matches_reference(oracle, cell):
         full = oracle.Reference(params, base_year, base_gw, additions, offset,
                                 carbon).full_cost()
         budget = share * full
+        net_total = sum(additions.values()) - sum(offset.values())
         for allocation in ("chronological", "uniform"):
             res = capacity_supported_by_budget(budget, params, carbon, pipe, policy,
                                                allocation)
             assert res.saturated == (budget >= full)
             assert res.spent_busd == pytest.approx(full if res.saturated else budget,
                                                    rel=1e-9)
+            if res.saturated:
+                assert res.subsidy_supported_gw \
+                    == pytest.approx(net_total, rel=1e-9, abs=1e-9)
+        _check_funding_rule(params, carbon, pipe, policy)
+
+
+def _check_funding_rule(params, carbon, pipe, policy=DEFAULT_POLICY_MT):
+    """The budget inversion's one funding rule, over budgets from 0 to past
+    saturation, on the cohorts with net additions: a cohort of unit cost 0 is
+    counted in full; chronological funds the others fully, then one in part,
+    then none; uniform funds each of them by one share. Both allocations
+    support no less capacity as the budget grows, and come to the saturated
+    figure continuously: the GW left unfunded cost at least the cheapest
+    cohort of positive cost each, so they are at most the budget short over
+    that unit cost."""
+    traj = pipe.with_supported(demand_supported_additions(params, pipe, policy))
+    unit = _unit_costs(traj, params, carbon)
+    net = {y: traj.net_addition(y) for y in traj.build_years}
+    full = sum(net[y] * unit[y] for y in traj.build_years)
+    net_total = sum(net.values())
+    paid = [y for y in traj.build_years if net[y] > 0.0 and unit[y] > 0.0]
+    free = [y for y in traj.build_years if net[y] > 0.0 and unit[y] == 0.0]
+    for allocation in ("chronological", "uniform"):
+        supported = []
+        for budget in (0.0, 0.3 * full, 0.7 * full, full * (1 - 1e-6), full,
+                       1.5 * full + 1.0):
+            res = capacity_supported_by_budget(budget, params, carbon, pipe, policy,
+                                               allocation)
+            assert res.saturated == (budget >= full)
+            assert all(res.per_year_gw[y] == net[y] for y in free)
+            share = [res.per_year_gw[y] / net[y] for y in paid]
+            if res.saturated:
+                assert share == [1.0] * len(paid)
+                assert res.subsidy_supported_gw == pytest.approx(net_total, rel=1e-12)
+            elif allocation == "chronological":
+                k = next((i for i, f in enumerate(share) if f != 1.0), len(share))
+                assert all(0.0 <= f <= 1.0 for f in share[k:k + 1])
+                assert share[k + 1:] == [0.0] * len(share[k + 1:])
+            else:
+                # one share budget/full for all; compared in GW, as a share of
+                # a subnormal net is not one float
+                assert [res.per_year_gw[y] for y in paid] \
+                    == pytest.approx([budget / full * net[y] for y in paid], rel=1e-12)
+            if not res.saturated:
+                short = net_total - res.subsidy_supported_gw
+                bound = (full - budget) / min(unit[y] for y in paid)
+                assert -1e-12 * net_total <= short <= bound * (1 + 1e-9)
+            supported.append(res.subsidy_supported_gw)
+        # non-decreasing, up to the rounding of a sum of per-year floats
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(supported, supported[1:]))
 
 
 @settings(max_examples=400)
@@ -560,17 +611,45 @@ def test_chronological_fills_early_years_first(central, pipeline_traj, offset_tr
             assert got == 0.0
 
 
-def test_chronological_fill_stops_at_the_first_cohort_it_cannot_pay(central):
-    # after the 2026 cohort only part of it is paid for, and no later cohort
-    # is funded, not even the 2043-2050 ones whose gap costs nothing
+def test_cohorts_at_parity_are_funded_in_full_by_both_allocations(central):
+    # the 2043-2050 cohorts cost nothing over their payback, so both
+    # allocations count them in full; the chronological fill pays for part of
+    # the 2026 cohort and for none of the later cohorts of positive cost
     pipe = fixtures.median_extended_pipeline(2050)
-    res = capacity_supported_by_budget(300.0, central, True, pipe)
     traj = pipe.with_supported(demand_supported_additions(central, pipe))
     unit = _unit_costs(traj, central, True)
     assert all(unit[y] == 0.0 for y in range(2043, 2051))
+    for allocation in ("chronological", "uniform"):
+        res = capacity_supported_by_budget(300.0, central, True, pipe,
+                                           allocation=allocation)
+        assert all(res.per_year_gw[y] == traj.net_addition(y) == pytest.approx(200.0)
+                   for y in range(2043, 2051))
+        assert res.spent_busd == pytest.approx(300.0, rel=1e-12)
+    res = capacity_supported_by_budget(300.0, central, True, pipe)
     assert 0.0 < res.per_year_gw[2026] < traj.net_addition(2026)
-    assert all(res.per_year_gw[y] == 0.0 for y in range(2027, 2051))
-    assert res.spent_busd == pytest.approx(300.0, rel=1e-12)
+    assert all(res.per_year_gw[y] == 0.0 for y in range(2027, 2043))
+
+
+@pytest.mark.parametrize("policy", [0.0, DEFAULT_POLICY_MT])
+@pytest.mark.parametrize("payback, at_parity", [
+    (7.0, [2029, 2030]), (15.0, [2028, 2029, 2030]), (30.0, [2027, 2028, 2029, 2030])])
+def test_funding_rule_with_cohorts_at_parity(payback, at_parity, policy):
+    # progressive parameters, gas at 3x and carbon on: the last bundled build
+    # years are at parity over their whole payback
+    params = BUNDLED["progressive"]
+    params = params.replace(payback_period=payback,
+                            gas_price=params.gas_price.scaled(3.0))
+    traj = PIPE.with_supported(demand_supported_additions(params, PIPE, policy))
+    unit = _unit_costs(traj, params, True)
+    assert [y for y in PIPE.build_years if unit[y] == 0.0] == at_parity
+    _check_funding_rule(params, True, PIPE, policy)
+
+
+def test_funding_rule_on_the_extended_pipeline(central):
+    # 1e-6 of the full cost (2227.5 $bn) short, the chronological fill leaves
+    # 0.223 GW of 3910.5 unfunded, all of it in the cheapest cohort of positive
+    # cost (2042, 0.00998 $bn/GW); it used to stop at 2026 and fund 2310.3 GW
+    _check_funding_rule(central, True, fixtures.median_extended_pipeline(2050))
 
 
 NAN = float("nan")
