@@ -571,11 +571,20 @@ def _run(argv) -> int:
             os.close(devnull)
         return EXIT_OK
     except (ConfigError, SnapshotSchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Print ``exc`` as an error line and return ``code``. Like argparse with
+    its usage errors, drop a line that cannot be written (stderr closed or
+    full), so that the run still exits with the documented code."""
+    try:
+        sys.stderr.write(f"error: {exc}\n")
+    except (AttributeError, OSError):
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -73,7 +73,11 @@ def demand_supported_additions(params: ParamSet, pipeline: CapacityTrajectory,
         raise ValueError(
             f"demand-supported capacity ({total:.1f} GW) exceeds the announced "
             f"pipeline ({window_additions:.1f} GW) in {POLICY_WINDOW}")
-    return {y: total * pipeline.addition(y) / window_additions for y in years}
+    shares = {y: total * pipeline.addition(y) / window_additions for y in years}
+    # a product can round one ulp above its addition: cap the share there, but
+    # leave an overflowed share to the trajectory's check, which names the year
+    return {y: share if share == math.inf else min(share, pipeline.addition(y))
+            for y, share in shares.items()}
 
 
 def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,

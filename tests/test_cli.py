@@ -1080,6 +1080,35 @@ def test_closed_stdout_run_leaves_no_descriptor_open(tmp_path):
     assert proc.stderr == "0 0"
 
 
+@pytest.mark.parametrize("stderr", ["closed pipe", "/dev/full"],
+                         ids=["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("argv, code", [
+    (["lcoh", "--params", "absent.json"], 2),
+    (["track", "--snapshots",
+      f"{fixtures.snapshot_path(2021)},{fixtures.snapshot_path(2023)}",
+      "--target-year", "2023"], 3),
+], ids=["exit-2", "exit-3"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, stderr):
+    # ``h2gap ... 2>&1 | head -c0`` or ``2>/dev/full``: the error line is
+    # dropped, as argparse drops its own, and the exit code stays documented
+    if stderr == "/dev/full" and not os.path.exists(stderr):
+        pytest.skip("no /dev/full on this system")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = write_end if stderr == "closed pipe" else open(stderr, "w")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "h2gap", *argv, "--out",
+                               str(tmp_path / "out")], env=env, cwd=tmp_path,
+                              stdout=write_end, stderr=err, timeout=60)
+    finally:
+        os.close(write_end)
+        if err is not write_end:
+            err.close()
+    assert proc.returncode == code
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_track_prints_no_load_lines(tmp_path, capsys):
     # the loaded lines are part of the summary, printed once the reports exist
     code = main(["track", "--snapshots",

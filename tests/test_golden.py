@@ -91,6 +91,9 @@ INPUTS = {
     + _bundled("pipeline_additions.csv").split(b"\n", 2)[2],     # its 2024-2030 rows
     "pipe_2030_huge.csv": _pipeline_through(2029) + b"2030,2000000,true\n",
     "pipe_overflow.csv": (PIPELINE_HEADER + "2023,1.86\n2024,11\n2028,1.7e308\n").encode(),
+    "pipe_share_ulp.csv": (PIPELINE_HEADER + "2023,1.86\n2024,50.22385584334831\n"
+                           + "".join(f"{y},0.001\n" for y in range(2025, 2029))
+                           + "2029,0.1\n2030,0.001\n").encode(),
     "reqs_down.csv": _bundled("scenario_requirements.csv").split(b"\n")[0]
     + b"\nA,one,2030,500,,false\nA,one,2040,1000,,false\nA,one,2050,800,,false\n",
     "params_bom.json": codecs.BOM_UTF8 + _bundled("params_central.json"),
@@ -208,6 +211,9 @@ ERROR_LINES = [
     ["subsidies", "--pipeline", "<TMP>/pipe_overflow.csv"],
     ["support", "--budget", "1", "--pipeline", "<TMP>/pipe_overflow.csv"],
     ["sweep", "--horizon", "2030", "--pipeline", "<TMP>/pipe_overflow.csv"],
+    # a policy share whose product rounds one ulp above its addition
+    ["support", "--budget", "0", "--policy-mt", "4.020419402427688",
+     "--pipeline", "<TMP>/pipe_share_ulp.csv"],
     # parameter files
     *(["lcoh", "--params", f"<TMP>/{name}.json"]
       for name in ("params_bom", "params_not_json", "params_missing_key", "params_nan",
@@ -298,8 +304,17 @@ def _digest(argv: list[str], tmp: Path) -> str:
     return h.hexdigest()
 
 
-def _platform() -> dict[str, str]:
+def platform_fields() -> dict[str, str]:
     return {"python": "%d.%d" % sys.version_info[:2], "machine": platform.machine()}
+
+
+def check_platform(recorded: dict, record_file: Path) -> None:
+    """Fail, naming both platforms, unless ``recorded`` was made on this one."""
+    for field, value in platform_fields().items():
+        assert recorded[field] == value, (
+            f"{record_file.name} was recorded on {field} {recorded[field]}, this "
+            f"run is on {value}: run it on the recorded platform or record one for "
+            f"this platform with tests/golden/regen.py")
 
 
 def digests(tmp: Path) -> dict[str, str]:
@@ -310,19 +325,14 @@ def digests(tmp: Path) -> dict[str, str]:
 
 
 def record(tmp: Path) -> dict:
-    return {**_platform(), "digests": digests(tmp)}
+    return {**platform_fields(), "digests": digests(tmp)}
 
 
 def test_report_bytes_match_the_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.delenv(fixtures.ENV_DATA_DIR, raising=False)
     monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
     recorded = json.loads(DIGEST_FILE.read_text())
-    for field, value in _platform().items():
-        assert recorded[field] == value, (
-            f"the golden digests were recorded on {field} {recorded[field]}, "
-            f"this run is on {value}: float bits may differ here, so run the "
-            f"corpus on the recorded platform or record one for this platform "
-            f"with tests/golden/regen.py")
+    check_platform(recorded, DIGEST_FILE)
     old, current = recorded["digests"], digests(tmp_path)
     changed = [key for key in {**old, **current} if old.get(key) != current.get(key)]
     assert not changed, (f"{len(changed)} of {len(current)} command lines changed:\n"

@@ -1,23 +1,18 @@
 """The stdlib interpolation and quartiles equal numpy's bit for bit.
 
 ``TimeAnchoredSeries.at`` and ``stats`` replace ``numpy.interp`` and
-``numpy.percentile`` at run time; numpy is only the oracle here. Every
-comparison is ``==``: the reports must not move by a single ulp.
+``numpy.percentile`` at run time; numpy is only the oracle here, and
+``import h2gap.cli`` does not load it. Every comparison is ``==``: the
+reports must not move by a single ulp.
 """
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import h2gap
 from h2gap import ScenarioRequirement, TimeAnchoredSeries, fixtures, stats
-
-SRC_DIR = Path(h2gap.__file__).resolve().parents[1]
+from test_import_split import STATEMENTS, loaded_by
 
 
 def _value(rng: random.Random) -> float:
@@ -96,8 +91,4 @@ def test_bundled_requirement_stats_equal_numpy_percentile():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = "import h2gap.cli, sys; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert "numpy" not in loaded_by(STATEMENTS["h2gap.cli"])

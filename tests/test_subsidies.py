@@ -146,9 +146,17 @@ def test_offset_larger_than_pipeline_is_error(central, pipeline_traj):
     assert demand_supported_additions(central, exact, policy_mt=7.0) == {2024: total}
 
 
-def test_supported_never_exceeds_additions(central, pipeline_traj, offset_traj):
-    for year in offset_traj.build_years:
-        assert offset_traj.supported(year) <= offset_traj.addition(year) + 1e-12
+def test_supported_never_exceeds_additions(central, offset_traj):
+    # in the second pipeline the 2024 share's product rounds one ulp above its
+    # addition, which the trajectory's 1e-9 tolerance would let through
+    additions = {2024: 50.22385584334831, 2025: 0.001, 2026: 0.001, 2027: 0.001,
+                 2028: 0.001, 2029: 0.1, 2030: 0.001}
+    skewed = CapacityTrajectory(2023, 1.86, additions)
+    skewed = skewed.with_supported(
+        demand_supported_additions(central, skewed, policy_mt=4.020419402427688))
+    for traj in (offset_traj, skewed):
+        for year in traj.build_years:
+            assert traj.supported(year) <= traj.addition(year)
 
 
 # ---------------------------------------------------------------------------
