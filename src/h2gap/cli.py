@@ -18,8 +18,8 @@ target may be a directory, before the output directory is created; each
 report is written to a hidden file there, and all are moved into place only
 once every one is written. A failure leaves the directory as it was; only a
 crash between two of those moves can leave new reports next to old ones.
-The stdout summary is printed only after that, and a reader that closes
-stdout early does not turn the written run into an error: it still exits 0.
+The stdout summary is printed only after that, and a stdout that is closed
+early or full does not turn the written run into an error: it still exits 0.
 
 Output is fully deterministic: rerunning a command yields byte-identical
 files, and the CSV and JSON renderings carry identical values. JSON reports
@@ -136,9 +136,11 @@ def _write_rows(fh, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         fh.write(_json_text(rows) + "\n")
     elif rows:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        # every row of a report comes from one dict display, so all rows have
+        # the first row's keys in its order
+        writer = csv.writer(fh)
+        writer.writerow(rows[0].keys())
+        writer.writerows(map(dict.values, rows))
 
 
 def _write_reports(reports: dict[str, list[dict]], out_dir: str, fmt: str) -> None:
@@ -457,7 +459,11 @@ def cmd_support(args):
              "allocation": result.allocation,
              "scenario": params.scenario_id,
              "carbon_pricing": args.carbon_pricing}]
-    flag = " (budget exceeds full-pipeline requirement)" if result.saturated else ""
+    flag = ""
+    if result.saturated:
+        flag = (" (budget exceeds full-pipeline requirement)"
+                if result.budget_busd > result.spent_busd
+                else " (budget covers the full-pipeline requirement)")
     summary = [f"budget {result.budget_busd:.0f} $bn supports "
                f"{result.subsidy_supported_gw:.1f} GW by {pipe.last_year}{flag}",
                f"demand-side policy supports a further "
@@ -560,10 +566,11 @@ def _run(argv) -> int:
         reports, summary = _COMMANDS[args.command][0](args)
         _write_reports(reports, args.out, args.format)
         try:
-            # flushed here, so that a reader gone early (``| head``) shows
-            # up now rather than in the interpreter's flush at exit
+            # flushed here, so that a reader gone early (``| head``) or a
+            # full device (``> /dev/full``) shows up now rather than in the
+            # interpreter's flush at exit
             print("\n".join(summary), flush=True)
-        except BrokenPipeError:
+        except OSError:
             # the reports are written, so the run succeeded; what is left
             # of stdout, the flush at exit included, goes to the null device
             devnull = os.open(os.devnull, os.O_WRONLY)

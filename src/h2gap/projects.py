@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 from enum import Enum
 from operator import itemgetter
 
@@ -94,11 +94,12 @@ class ProjectRecord(namedtuple("_ProjectRecord", (
     always has a launch year and a positive, finite capacity in MW of
     electrical input.
 
-    A named tuple because a snapshot load builds one per kept row: with an
-    explicit ``__new__`` signature it costs about a third of a frozen
-    dataclass. Records are immutable and hashable; like any tuple they equal
-    a plain tuple with the same values. ``__new__`` is the only way in:
-    ``_make`` (and so ``_replace``) and unpickling go through it too.
+    A named tuple because a snapshot load builds one per kept row. Records
+    are immutable and hashable; like any tuple they equal a plain tuple with
+    the same values. Every way in for a caller goes through the checked
+    ``__new__``: a call, ``_make`` (and so ``_replace``) and unpickling.
+    :func:`load_snapshot` alone builds records with ``tuple.__new__``, after
+    it has applied these same checks to the row.
     ``confidential`` is the row's parsed flag; no computation reads it.
     """
     __slots__ = ()
@@ -169,7 +170,7 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
     # what every row reads, bound once per load rather than looked up per row
-    record, keep, add = ProjectRecord, records.append, seen.add
+    new, record, keep, add = tuple.__new__, ProjectRecord, records.append, seen.add
     demo, other, demo_states, inf = Status.DEMO, Status.OTHER, _DEMO_STATES, math.inf
     with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad, _):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
@@ -223,9 +224,11 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
             elif ref_id in seen:
                 bad(f"duplicate ref_id {ref_id!r}")
             else:
+                # the checks above are ProjectRecord.__new__'s, so the record
+                # is built without its frame
                 add(ref_id)
-                keep(record(ref_id, name.strip(), country.strip(), region.strip(),
-                            status, launch_year, capacity, confidential))
+                keep(new(record, (ref_id, name.strip(), country.strip(), region.strip(),
+                                  status, launch_year, capacity, confidential)))
     report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
                         dropped_reasons=dict(dropped))
     return Snapshot(vintage_year, records, load_report=report)
@@ -297,6 +300,11 @@ class TransitionReport(namedtuple("_TransitionReport", (
         return max(0.0, self.announced_mw - self.realized_mw)
 
 
+def _records_of(snapshot: Snapshot, refs: Container[str]) -> dict[str, ProjectRecord]:
+    """``snapshot.by_ref()`` narrowed to ``refs``, in one pass over the vintage."""
+    return {r.ref_id: r for r in snapshot.records if r.ref_id in refs}
+
+
 def _vintages(snapshots: Sequence[Snapshot]) -> list[int]:
     """The vintage years of ``snapshots``, checked for what :func:`track` and
     :func:`sankey_flows` both need: at least two vintages, oldest first."""
@@ -331,7 +339,7 @@ def track(snapshots: Sequence[Snapshot], target_year: int) -> TransitionReport:
         raise ValueError(f"target year {target_year} is after the final vintage "
                          f"{final.vintage_year}")
     cohort = [r for r in earlier.records if r.launch_year == target_year]
-    final_by_ref = final.by_ref()
+    final_by_ref = _records_of(final, {r.ref_id for r in cohort})
     fates: list[ProjectFate] = []
     for rec in cohort:
         fin = final_by_ref.get(rec.ref_id)
@@ -407,6 +415,10 @@ MOVED_EARLIER = "moved_earlier"
 REALIZED = "realized"
 NOT_REALIZED = "not_realized"
 
+# each status's node label, read once per record rather than through the
+# enum's ``value`` descriptor
+_LABEL = {status: status.value for status in Status}
+
 _BOOKKEEPING = {ENTERING, INCREASED, REDUCED, DISAPPEARED, DELAYED_OUT,
                 MOVED_EARLIER, REALIZED, NOT_REALIZED}
 
@@ -458,11 +470,9 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
     that every internal status node balances exactly.
     """
     vintages = _vintages(snapshots)
-
-    def cohort(snap: Snapshot) -> dict[str, ProjectRecord]:
-        return {r.ref_id: r for r in snap.records if r.launch_year == target_year}
-
-    cohorts = [cohort(s) for s in snapshots]
+    cohorts = [{r.ref_id: r for r in snap.records if r.launch_year == target_year}
+               for snap in snapshots]
+    label = _LABEL
     flow_acc: dict[tuple[int, str, int, str], float] = {}
 
     def add_flow(stage_from: int, label_from: str, stage_to: int, label_to: str,
@@ -473,39 +483,37 @@ def sankey_flows(snapshots: Sequence[Snapshot], target_year: int) -> SankeyData:
     n = len(snapshots)
     for i in range(n - 1):
         cur, nxt = cohorts[i], cohorts[i + 1]
-        nxt_by_ref = snapshots[i + 1].by_ref()
-        for ref in sorted(set(cur) | set(nxt)):
-            if ref in cur and ref in nxt:
-                c0 = cur[ref].capacity_mw
-                c1 = nxt[ref].capacity_mw
-                add_flow(i, cur[ref].status.value, i + 1, nxt[ref].status.value,
-                         min(c0, c1))
-                if c0 > c1:
-                    add_flow(i, cur[ref].status.value, i + 1, REDUCED, c0 - c1)
-                elif c1 > c0:
-                    add_flow(i, INCREASED, i + 1, nxt[ref].status.value, c1 - c0)
-            elif ref in cur:
-                rec = cur[ref]
-                moved = nxt_by_ref.get(ref)
-                if moved is None:
-                    label = DISAPPEARED
+        # where the refs that leave the cohort went in the next vintage
+        moved = _records_of(snapshots[i + 1], cur.keys() - nxt.keys())
+        for ref in sorted(cur.keys() | nxt.keys()):
+            rec, fin = cur.get(ref), nxt.get(ref)
+            if rec is None:
+                add_flow(i, ENTERING, i + 1, label[fin.status], fin.capacity_mw)
+            elif fin is None:
+                out = moved.get(ref)
+                if out is None:
+                    to = DISAPPEARED
                 else:
-                    label = DELAYED_OUT if moved.launch_year > target_year \
-                        else MOVED_EARLIER
-                add_flow(i, rec.status.value, i + 1, label, rec.capacity_mw)
+                    to = DELAYED_OUT if out.launch_year > target_year else MOVED_EARLIER
+                add_flow(i, label[rec.status], i + 1, to, rec.capacity_mw)
             else:
-                add_flow(i, ENTERING, i + 1, nxt[ref].status.value,
-                         nxt[ref].capacity_mw)
-    # outcome stage: realised on schedule vs still open
-    for ref in sorted(cohorts[-1]):
-        rec = cohorts[-1][ref]
-        label = REALIZED if rec.status is Status.OPERATIONAL else NOT_REALIZED
-        add_flow(n - 1, rec.status.value, n, label, rec.capacity_mw)
+                c0, c1 = rec.capacity_mw, fin.capacity_mw
+                add_flow(i, label[rec.status], i + 1, label[fin.status], min(c0, c1))
+                if c0 > c1:
+                    add_flow(i, label[rec.status], i + 1, REDUCED, c0 - c1)
+                elif c1 > c0:
+                    add_flow(i, INCREASED, i + 1, label[fin.status], c1 - c0)
+    # outcome stage: realised on schedule vs still open, in ref order as the
+    # snapshot keeps its records
+    for rec in cohorts[-1].values():
+        add_flow(n - 1, label[rec.status], n,
+                 REALIZED if rec.status is Status.OPERATIONAL else NOT_REALIZED,
+                 rec.capacity_mw)
 
     nodes: dict[tuple[int, str], float] = {}
     for i, members in enumerate(cohorts):
         for rec in members.values():
-            key = (i, rec.status.value)
+            key = (i, label[rec.status])
             nodes[key] = nodes.get(key, 0.0) + rec.capacity_mw / 1000.0
     for (sf, lf, st, lt), gw in flow_acc.items():
         if lf in _BOOKKEEPING:

@@ -428,6 +428,21 @@ def test_support_summary_names_the_pipelines_last_build_year(tmp_path, capsys):
     assert "supports 376.5 GW by 2035 (budget exceeds" in capsys.readouterr().out
 
 
+def test_support_says_a_budget_equal_to_the_requirement_covers_it(tmp_path, capsys):
+    assert main(["support", "--budget", "5000", "--out", str(tmp_path / "a")]) == 0
+    assert "(budget exceeds full-pipeline requirement)" in capsys.readouterr().out
+    (row,) = _read_csv(tmp_path / "a" / "support.csv")
+    # the requirement itself, as the report writes it, buys the whole pipeline
+    assert main(["support", "--budget", row["spent_busd"],
+                 "--out", str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert "(budget covers the full-pipeline requirement)" in out
+    assert "exceeds" not in out
+    (equal,) = _read_csv(tmp_path / "b" / "support.csv")
+    assert equal["saturated"] == "True"
+    assert equal["budget_busd"] == equal["spent_busd"] == row["spent_busd"]
+
+
 @pytest.mark.parametrize("argv", [
     ["subsidies"], ["support", "--budget", "1"], ["sweep", "--horizon", "2030"]],
     ids=lambda argv: argv[0])
@@ -1058,6 +1073,30 @@ def test_closed_stdout_ends_a_finished_run_with_exit_0(tmp_path, unbuffered):
     for name in names:
         assert (tmp_path / "closed" / name).read_bytes() \
             == (tmp_path / "open" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_stdout_ends_a_finished_run_with_exit_0(tmp_path, unbuffered):
+    # ``h2gap lcoh --out DIR > /dev/full``: the reports are written before the
+    # summary, so a stdout with no room left does not fail the run
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "h2gap", "lcoh", "--out"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([*argv, str(tmp_path / "full")], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    reference = subprocess.run([*argv, str(tmp_path / "open")], env=env,
+                               capture_output=True, timeout=60)
+    assert reference.returncode == 0, reference.stderr
+    assert os.listdir(tmp_path / "full") == ["lcoh.csv"]
+    assert (tmp_path / "full" / "lcoh.csv").read_bytes() \
+        == (tmp_path / "open" / "lcoh.csv").read_bytes()
 
 
 def test_closed_stdout_run_leaves_no_descriptor_open(tmp_path):

@@ -140,6 +140,16 @@ def test_nonpositive_capacity_is_row_error(tmp_path):
         load_snapshot(path, 2023)
 
 
+def test_capacity_at_the_edges_of_positive_and_finite_is_kept(tmp_path):
+    # the loader's own guard is the only check a kept row passes
+    path = tmp_path / "edges.csv"
+    path.write_text(HEADER + "A,one,DEU,Europe,Concept,2024,5e-324,false\n"
+                    + "B,two,DEU,Europe,Concept,2024,0.5,false\n"
+                    + "C,three,DEU,Europe,Concept,2024,1.7e308,false\n")
+    snap = load_snapshot(path, 2023)
+    assert [r.capacity_mw for r in snap.records] == [5e-324, 0.5, 1.7e308]
+
+
 def test_demo_rows_need_demo_state(tmp_path):
     path = tmp_path / "demo.csv"
     path.write_text(HEADER + "A,one,DEU,Europe,DEMO,2023,10,false\n")
@@ -242,18 +252,22 @@ def test_synthetic_snapshot_loads_to_expected_records(tmp_path, seed):
     assert {r.confidential for r in records} == {True, False}
 
 
-def test_one_record_built_per_kept_row(tmp_path, monkeypatch):
+def test_load_builds_kept_rows_past_the_checked_constructor(tmp_path, monkeypatch):
+    # load_snapshot applies ProjectRecord.__new__'s checks to each row itself
+    # and builds the record with tuple.__new__: one per kept row, each what
+    # the checked constructor would build from its fields
     path, records, report = _write_synthetic(tmp_path, 4)
-    built = []
 
-    def counting_record(*args, **kwargs):      # positional or keyword alike
-        built.append((args, kwargs))
-        return ProjectRecord(*args, **kwargs)
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("load_snapshot called ProjectRecord.__new__")
 
-    monkeypatch.setattr(projects, "ProjectRecord", counting_record)
+    monkeypatch.setattr(ProjectRecord, "__new__", refuse)
     snap = load_snapshot(path, 2023)
+    monkeypatch.undo()
     assert report.dropped > 0
-    assert len(built) == snap.load_report.kept == len(records)
+    assert len(snap.records) == snap.load_report.kept == len(records)
+    for rec in snap.records:
+        assert type(rec) is ProjectRecord and ProjectRecord(*rec) == rec
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -666,3 +680,103 @@ def test_sankey_new_entrant_flows(snapshots):
     sankey = sankey_flows(snapshots, 2022)
     entering = [f for f in sankey.flows if f.label_from == "new_or_delayed_in"]
     assert sum(f.capacity_gw for f in entering) == pytest.approx(1.1)  # GH-0012
+
+
+# ---------------------------------------------------------------------------
+# Leaving the cohort: track and sankey_flows against Snapshot.by_ref()
+# ---------------------------------------------------------------------------
+
+_LEAVING = ("disappeared", "delayed_out", "moved_earlier")
+
+
+def _leaving_vintages():
+    """Three vintages for target year 2022 whose leavers cover every case:
+    absent refs that sort before the first and after the last record of the
+    next vintage, refs that are that first or last record, refs that move
+    earlier or are delayed out, and refs that are decommissioned in or out of
+    the cohort."""
+    dec, op = Status.DECOMMISSIONED, Status.OPERATIONAL
+    first = [_rec("A0", cap=1.0), _rec("C1", cap=2.0), _rec("C2", cap=4.0),
+             _rec("C3", cap=8.0), _rec("C4", status=op, cap=16.0),
+             _rec("C5", cap=32.0), _rec("C57", cap=256.0), _rec("C6", cap=64.0),
+             _rec("Z9", cap=128.0)]
+    middle = [_rec("B0", launch=2025, cap=3.0),                 # not in the cohort
+              _rec("C1", launch=2023, cap=2.0),                 # delayed out
+              _rec("C2", launch=2021, cap=5.0),                 # moved earlier
+              _rec("C3", status=dec, launch=2024, cap=8.0),     # decommissioned, out
+              _rec("C4", status=dec, cap=16.0),                 # decommissioned, in
+              _rec("C5", cap=30.0),
+              _rec("C6", status=op, cap=70.0),
+              _rec("Y0", launch=2026, cap=3.0)]
+    last = [_rec("C5", launch=2030, cap=30.0),                  # delayed out, sorts first
+            _rec("C55", cap=5.0),                               # enters
+            _rec("C57", status=dec, cap=256.0),                 # back, decommissioned
+            _rec("C6", status=op, launch=2020, cap=70.0)]       # moved earlier, sorts last
+    return [Snapshot(2021, first), Snapshot(2022, middle), Snapshot(2023, last)]
+
+
+def _random_vintages(seed: int):
+    rng = random.Random(seed)
+    statuses = [s for s in Status if s not in (Status.DEMO, Status.OTHER)]
+    refs = [f"R{i:03d}" for i in range(60)]
+    return [Snapshot(vintage, [
+        _rec(ref, status=rng.choice(statuses), launch=rng.choice((2021, 2022, 2022, 2023)),
+             cap=float(rng.randint(1, 500)))
+        for ref in refs if rng.random() < 0.7]) for vintage in (2021, 2022, 2023)]
+
+
+def _leaving_flows(snapshots, target_year):
+    """The flows of refs that leave the cohort, built from ``by_ref()`` in ref
+    order, as ``sankey_flows`` books them."""
+    flows = {}
+    for i, (snap, nxt) in enumerate(zip(snapshots, snapshots[1:])):
+        nxt_by_ref = nxt.by_ref()
+        for rec in snap.records:
+            fin = nxt_by_ref.get(rec.ref_id)
+            if rec.launch_year != target_year or \
+                    (fin is not None and fin.launch_year == target_year):
+                continue
+            to = ("disappeared" if fin is None
+                  else "delayed_out" if fin.launch_year > target_year else "moved_earlier")
+            key = (i, rec.status.value, i + 1, to)
+            flows[key] = flows.get(key, 0.0) + rec.capacity_mw / 1000.0
+    return flows
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_leavers_match_a_full_lookup(seed):
+    snaps = _leaving_vintages() if seed is None else _random_vintages(seed)
+    sankey = sankey_flows(snaps, 2022)
+    booked = {(f.stage_from, f.label_from, f.stage_to, f.label_to): f.capacity_gw
+              for f in sankey.flows if f.label_to in _LEAVING}
+    assert booked == _leaving_flows(snaps, 2022)
+    assert sankey.node_balance_errors() == []
+
+    final = snaps[-1].by_ref()
+    report = track(snaps, 2022)
+    cohort = [r for r in snaps[0].records if r.launch_year == 2022]
+    assert [f.ref_id for f in report.fates] == [r.ref_id for r in cohort]
+    for fate in report.fates:
+        fin = final.get(fate.ref_id)
+        assert (fate.final_status, fate.final_launch_year) == \
+            ((fin.status, fin.launch_year) if fin else (None, None))
+        assert (fate.fate is Fate.DISAPPEARED) == \
+            (fin is None or fin.status is Status.DECOMMISSIONED)
+
+
+def test_leavers_of_the_built_vintages():
+    snaps = _leaving_vintages()
+    assert _leaving_flows(snaps, 2022) == {
+        (0, "Concept", 1, "disappeared"): 1.0 / 1000.0 + 256.0 / 1000.0 + 128.0 / 1000.0,
+        (0, "Concept", 1, "delayed_out"): 2.0 / 1000.0 + 8.0 / 1000.0,
+        (0, "Concept", 1, "moved_earlier"): 4.0 / 1000.0,
+        (1, "Concept", 2, "delayed_out"): 30.0 / 1000.0,
+        (1, "Decommissioned", 2, "disappeared"): 16.0 / 1000.0,
+        (1, "Operational", 2, "moved_earlier"): 70.0 / 1000.0,
+    }
+    fates = {f.ref_id: f.fate for f in track(snaps, 2022).fates}
+    assert fates == {"A0": Fate.DISAPPEARED, "C1": Fate.DISAPPEARED,
+                     "C2": Fate.DISAPPEARED, "C3": Fate.DISAPPEARED,
+                     "C4": Fate.DISAPPEARED, "C5": Fate.DELAYED,
+                     "C57": Fate.DISAPPEARED, "C6": Fate.SUCCESS,
+                     "Z9": Fate.DISAPPEARED}

@@ -5,7 +5,9 @@ table, the pipeline trajectory), 1-3 bad rows go into the bundled file at drawn
 positions, among drawn blank lines, optionally with a field quoted across two
 lines and a UTF-8 byte-order mark. The command must exit 3 without raising or
 creating ``--out``, and stderr must name the file, the number of bad rows and
-the physical line of each of them, and of no other row.
+the physical line of each of them, and of no other row. A drawn snapshot
+without its bad rows must load, to records that the checked
+``ProjectRecord`` constructor rebuilds unchanged.
 """
 
 import codecs
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from h2gap import fixtures
 from h2gap.cli import main
+from h2gap.projects import ProjectRecord, load_snapshot
 
 # Per kind: the command line that reads the file, the bundled file, and its
 # bad rows. ``{name}`` is a free-text field, or one the loader ignores, which
@@ -51,7 +54,8 @@ KINDS = {
 
 
 def _corrupted_file(data, kind):
-    """Draw a corrupted copy of a bundled file: (bytes, physical lines of its bad rows)."""
+    """Draw a corrupted copy of a bundled file: (bytes, physical lines of its
+    bad rows, bytes of the same file without its bad rows)."""
     _, name, bad_rows = KINDS[kind]
     header, *bundled = (Path(fixtures.data_dir()) / name).read_text().splitlines()
     records = [(row, False) for row in bundled]     # (text, is a bad row)
@@ -78,7 +82,8 @@ def _corrupted_file(data, kind):
             lines.append(line)
         line += 1
     bom = codecs.BOM_UTF8 if data.draw(st.booleans(), label="BOM") else b""
-    return bom + text.encode("utf-8"), lines
+    clean = header + "\n" + "".join(row + "\n" for row, bad in records if not bad)
+    return bom + text.encode("utf-8"), lines, bom + clean.encode("utf-8")
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -86,7 +91,7 @@ def _corrupted_file(data, kind):
 @given(data=st.data())
 def test_every_bad_row_is_reported_on_its_line(kind, data):
     argv, name, _ = KINDS[kind]
-    content, lines = _corrupted_file(data, kind)
+    content, lines, clean = _corrupted_file(data, kind)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / name, Path(tmp) / "out"
         path.write_bytes(content)
@@ -95,6 +100,14 @@ def test_every_bad_row_is_reported_on_its_line(kind, data):
             code = main([*argv, str(path), "--out", str(out)])
         assert code == 3
         assert not out.exists()
+        if kind == "snapshot":
+            # without its bad rows the drawn file loads, and each record the
+            # loader built is the one the checked constructor builds
+            path.write_bytes(clean)
+            records = load_snapshot(str(path), 2023).records
+            assert records
+            for rec in records:
+                assert type(rec) is ProjectRecord and ProjectRecord(*rec) == rec
     err = err.getvalue()
     assert err.startswith(f"error: {path}: {len(lines)} bad row(s)\n")
     assert re.findall(r"^  line (\d+): ", err, re.M) == [str(n) for n in lines]
