@@ -165,12 +165,16 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
     dropped = Counter()
     seen: set[str] = set()
     # raw text -> parsed value, per load; a value that fails to parse is not
-    # stored, so every bad row keeps its own error and line number
+    # stored, so every bad row keeps its own error and line number. `places`
+    # gives the kept records of one load one shared str per distinct country
+    # and region, rather than a fresh copy per row
     statuses: dict[str, Status] = {}
     years: dict[str, int] = {}      # stripped launch-year text
     flags: dict[str, bool] = {}     # raw confidential text
+    places: dict[str, str] = {}     # raw or stripped country/region text
     # what every row reads, bound once per load rather than looked up per row
     new, record, keep, add = tuple.__new__, ProjectRecord, records.append, seen.add
+    place_of = places.get
     demo, other, demo_states, inf = Status.DEMO, Status.OTHER, _DEMO_STATES, math.inf
     with read_csv(path, _REQUIRED_COLUMNS) as (rows, index, bad, _):
         fields = itemgetter(*(index[c] for c in _REQUIRED_COLUMNS))
@@ -227,7 +231,15 @@ def load_snapshot(path, vintage_year: int) -> Snapshot:
                 # the checks above are ProjectRecord.__new__'s, so the record
                 # is built without its frame
                 add(ref_id)
-                keep(new(record, (ref_id, name.strip(), country.strip(), region.strip(),
+                country_name = place_of(country)
+                if country_name is None:
+                    text = country.strip()
+                    country_name = places[country] = places.setdefault(text, text)
+                region_name = place_of(region)
+                if region_name is None:
+                    text = region.strip()
+                    region_name = places[region] = places.setdefault(text, text)
+                keep(new(record, (ref_id, name.strip(), country_name, region_name,
                                   status, launch_year, capacity, confidential)))
     report = LoadReport(kept=len(records), dropped=sum(dropped.values()),
                         dropped_reasons=dict(dropped))

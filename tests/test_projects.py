@@ -270,6 +270,30 @@ def test_load_builds_kept_rows_past_the_checked_constructor(tmp_path, monkeypatc
         assert type(rec) is ProjectRecord and ProjectRecord(*rec) == rec
 
 
+def test_records_of_one_load_share_each_country_and_region(tmp_path):
+    # every spelling of a place, padded or not, gives the one stripped str
+    # that the load keeps for it
+    countries = [" DEU", "DEU ", "\tDEU", "DEU", " DEU\t", "FRA", "  FRA", "AUS "]
+    regions = ["Europe ", " Europe", "Europe", "\tEurope\t", "Oceania", " Oceania "]
+    rows = [[f"P{i}", f"Project {i}", countries[i % len(countries)],
+             regions[i % len(regions)], "Concept", "2025", "10", "false"]
+            for i in range(48)]
+    path = tmp_path / "places.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([HEADER.strip().split(","), *rows])
+    recs = load_snapshot(path, 2023).records
+    assert len(recs) == 48
+    cells = {row[0]: row for row in rows}
+    for r in recs:
+        assert (r.country, r.region) == (cells[r.ref_id][2].strip(),
+                                         cells[r.ref_id][3].strip())
+        assert type(r) is ProjectRecord and ProjectRecord(*r) == r
+    assert {r.country for r in recs} == {"DEU", "FRA", "AUS"}
+    assert {r.region for r in recs} == {"Europe", "Oceania"}
+    assert len({id(r.country) for r in recs}) == len({r.country for r in recs})
+    assert len({id(r.region) for r in recs}) == len({r.region for r in recs})
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_status_and_flag_parsed_once_per_distinct_text(tmp_path, monkeypatch, seed):
     path, _, _ = _write_synthetic(tmp_path, seed)

@@ -6,12 +6,15 @@ positions, among drawn blank lines, optionally with a field quoted across two
 lines and a UTF-8 byte-order mark. The command must exit 3 without raising or
 creating ``--out``, and stderr must name the file, the number of bad rows and
 the physical line of each of them, and of no other row. A drawn snapshot
-without its bad rows must load, to records that the checked
-``ProjectRecord`` constructor rebuilds unchanged.
+pads its country and region cells with drawn whitespace; without its bad rows
+it must load, to records that the checked ``ProjectRecord`` constructor
+rebuilds unchanged, whose country and region are the stripped cell text, one
+shared str per distinct value.
 """
 
 import codecs
 import contextlib
+import csv
 import io
 import re
 import tempfile
@@ -52,12 +55,26 @@ KINDS = {
     ]),
 }
 
+# whitespace drawn around a snapshot's country and region cells, so that one
+# value is read through several spellings and through its stripped text
+PADS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+def _padded_places(data, row):
+    """``row`` with drawn whitespace around its country and region cells."""
+    cells = row.split(",")
+    for col in (2, 3):
+        cells[col] = data.draw(PADS, label="pad") + cells[col] + data.draw(PADS, label="pad")
+    return ",".join(cells)
+
 
 def _corrupted_file(data, kind):
     """Draw a corrupted copy of a bundled file: (bytes, physical lines of its
     bad rows, bytes of the same file without its bad rows)."""
     _, name, bad_rows = KINDS[kind]
     header, *bundled = (Path(fixtures.data_dir()) / name).read_text().splitlines()
+    if kind == "snapshot":
+        bundled = [_padded_places(data, row) for row in bundled]
     records = [(row, False) for row in bundled]     # (text, is a bad row)
     for i in range(data.draw(st.integers(1, 3), label="bad rows")):
         choice = data.draw(st.integers(0, len(bad_rows)), label="kind of row")
@@ -102,12 +119,20 @@ def test_every_bad_row_is_reported_on_its_line(kind, data):
         assert not out.exists()
         if kind == "snapshot":
             # without its bad rows the drawn file loads, and each record the
-            # loader built is the one the checked constructor builds
+            # loader built is the one the checked constructor builds, with
+            # its country and region cells stripped
             path.write_bytes(clean)
             records = load_snapshot(str(path), 2023).records
             assert records
+            cells = {row[0]: row for row in csv.reader(
+                io.StringIO(clean.decode("utf-8-sig"))) if row}
             for rec in records:
                 assert type(rec) is ProjectRecord and ProjectRecord(*rec) == rec
+                row = cells[rec.ref_id]
+                assert (rec.country, rec.region) == (row[2].strip(), row[3].strip())
+            for field in ("country", "region"):
+                values = [getattr(rec, field) for rec in records]
+                assert len({id(v) for v in values}) == len(set(values))
     err = err.getvalue()
     assert err.startswith(f"error: {path}: {len(lines)} bad row(s)\n")
     assert re.findall(r"^  line (\d+): ", err, re.M) == [str(n) for n in lines]
