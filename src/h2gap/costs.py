@@ -25,9 +25,10 @@ fixed, the year and the learning ratio ``C_t / C_base`` determine the whole
 breakdown, and demand-side support does not enter it, so trajectories that
 share those values share entries. The records are immutable, and an error is
 never stored. A :class:`CapacityTrajectory` answers ``C_t`` for a build year
-by lookup, so a memo hit costs one dict lookup for ``C_t`` and one for the
-record. Both ledger sites in :mod:`h2gap.subsidies` read a cohort's locked
-LCOH and efficiency from that one record.
+by lookup, and :func:`lcoh` looks its memo up before any check, so a memo hit
+costs one dict lookup for ``C_t`` and one for the record. Both ledger sites
+in :mod:`h2gap.subsidies` read a cohort's locked LCOH and efficiency from
+that one record.
 
 This module holds the whole per-year cost path, :func:`lcoh` and
 :func:`gas_cost`, and imports neither ``dataclasses`` nor ``typing``, so the
@@ -43,7 +44,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from itertools import accumulate
 
-from .units import FIRST_SUBSIDY_YEAR, _check_flh_eta
+from .units import FIRST_SUBSIDY_YEAR, _check_flh_eta, fold_sum
 
 __all__ = [
     "TimeAnchoredSeries",
@@ -347,6 +348,11 @@ class CapacityTrajectory:
     ``supported_gw`` is the part of each year's additions whose cost gap is
     already carried by demand-side policy and therefore needs no supply-side
     subsidy. Cumulative capacity at year t includes year-t additions.
+
+    A trajectory is never changed after construction. So a copy from
+    :meth:`with_supported` shares its parent's checked build-out (the
+    additions, their running sums and ``C_t`` per build year) and converts
+    and checks only its own supported capacity.
     """
 
     def __init__(self, base_year: int, base_capacity_gw: float,
@@ -363,23 +369,31 @@ class CapacityTrajectory:
                 raise ValueError(f"addition year {y} not after base year {base_year}")
             if not 0.0 <= v < math.inf:
                 raise ValueError(f"capacity addition in {y} must be finite and >= 0")
+        # the additions in build-year order, which they usually come in already
+        self._years = sorted(adds)
+        self._additions = adds if self._years == list(adds) else \
+            {y: adds[y] for y in self._years}
+        # running sums of the additions, left to right (``units.fold_sum``):
+        # ``_running[k]`` covers the first k build years
+        self._running = [0.0, *accumulate(self._additions.values())]
+        # C_t of each build year, the value the bisection below finds for it
+        self._at_build_year = {y: self.base_capacity_gw + total
+                               for y, total in zip(self._years, self._running[1:])}
+        self._support(sup)
+
+    def _support(self, sup: dict[int, float]) -> None:
+        """Check the converted supported capacity against the additions and set
+        it, with the net additions aligned with ``_years``."""
+        adds = self._additions
         for y, v in sup.items():
             if not v >= 0.0:
                 raise ValueError(f"supported capacity in {y} must be >= 0, got {v}")
             if v > adds.get(y, 0.0) + 1e-9:
                 raise ValueError(
                     f"supported capacity exceeds additions in {y}: {v} > {adds.get(y, 0.0)}")
-        self._additions = dict(sorted(adds.items()))
-        self._supported = {y: sup.get(y, 0.0) for y in self._additions}
-        # running sums of the additions, left to right as ``sum`` adds floats
-        # up to Python 3.11: ``_running[k]`` covers the first k build years
-        self._years = list(self._additions)
-        self._running = [0.0, *accumulate(self._additions.values())]
-        # C_t of each build year, the value the bisection below finds for it
-        self._at_build_year = {y: self.base_capacity_gw + total
-                               for y, total in zip(self._years, self._running[1:])}
-        # net additions aligned with ``_years``, the subtraction of net_addition
-        self._net = [a - self._supported[y] for y, a in self._additions.items()]
+        self._supported = {y: sup.get(y, 0.0) for y in adds}
+        # the subtraction of net_addition
+        self._net = [a - self._supported[y] for y, a in adds.items()]
 
     @property
     def build_years(self) -> list[int]:
@@ -414,11 +428,20 @@ class CapacityTrajectory:
         return self.base_capacity_gw + self._running[bisect_right(self._years, year)]
 
     def total_additions(self) -> float:
-        return sum(self._additions.values())
+        return fold_sum(self._additions.values())
 
     def with_supported(self, supported_gw: Mapping[int, float]) -> "CapacityTrajectory":
-        return CapacityTrajectory(self.base_year, self.base_capacity_gw,
-                                  self._additions, supported_gw)
+        """This build-out with ``supported_gw`` as its demand-supported capacity.
+
+        Equal to constructing it afresh, with the same errors; the copy shares
+        the parent's checked build-out, which nothing changes.
+        """
+        copy = CapacityTrajectory.__new__(CapacityTrajectory)
+        copy.base_year, copy.base_capacity_gw = self.base_year, self.base_capacity_gw
+        copy._additions, copy._years = self._additions, self._years
+        copy._running, copy._at_build_year = self._running, self._at_build_year
+        copy._support({int(y): float(v) for y, v in (supported_gw or {}).items()})
+        return copy
 
     def __repr__(self) -> str:
         return (f"CapacityTrajectory(base={self.base_capacity_gw} GW in "
@@ -477,11 +500,19 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     the electricity and capital terms are scaled by 1/efficiency to express
     them per MWh of hydrogen. Transport and storage enter as a flat $/MWh adder.
     """
+    # the memo is looked up first, under the key a miss stores: a build year's
+    # C_t is one dict lookup, and any other year (C_t None) misses. A miss
+    # takes the checked path, and only a computed breakdown is ever stored.
+    memo = params._lcoh_memo
+    breakdown = memo.get((year, trajectory._at_build_year.get(year),
+                          trajectory.base_capacity_gw))
+    if breakdown is not None:
+        return breakdown
     year = int(year)
     if year < FIRST_SUBSIDY_YEAR:
         raise ValueError(f"LCOH is defined from {FIRST_SUBSIDY_YEAR} onwards, got {year}")
     key = (year, trajectory.cumulative(year), trajectory.base_capacity_gw)
-    breakdown = params._lcoh_memo.get(key)
+    breakdown = memo.get(key)
     if breakdown is not None:
         return breakdown
     inv = investment_costs(year, trajectory, params)
@@ -495,7 +526,7 @@ def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBre
     breakdown = LCOHBreakdown(year, params.electricity_price.at(year) / eta,
                               stack_cap, bop_cap, params.transport_storage, eta,
                               inv.stack, inv.balance_of_plant)
-    params._lcoh_memo[key] = breakdown
+    memo[key] = breakdown
     return breakdown
 
 

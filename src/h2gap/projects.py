@@ -40,7 +40,8 @@ from operator import itemgetter
 
 # the snapshot errors live in the leaf module, so that the CLI can catch them
 # without importing this one
-from .units import SnapshotDataError, SnapshotSchemaError, _parse_bool, read_csv
+from .units import (SnapshotDataError, SnapshotSchemaError, _parse_bool, fold_sum,
+                    read_csv)
 
 __all__ = [
     "Status", "Fate", "ProjectRecord", "Snapshot", "LoadReport",
@@ -258,7 +259,7 @@ def pipeline_gw(snapshot: Snapshot, through_year: int) -> float:
         if rec.launch_year <= through_year and rec.status is not Status.DECOMMISSIONED:
             annual[rec.launch_year] = annual.get(rec.launch_year, 0.0) \
                 + rec.capacity_mw / 1000.0
-    return sum(annual.values(), 0.0)
+    return fold_sum(annual.values())
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +297,11 @@ class TransitionReport(namedtuple("_TransitionReport", (
     __slots__ = ()
 
     def fate_total_mw(self, fate: Fate) -> float:
-        return sum(f.capacity_mw for f in self.fates if f.fate is fate)
+        return fold_sum(f.capacity_mw for f in self.fates if f.fate is fate)
 
     @property
     def dummy_total_mw(self) -> float:
-        return sum(f.dummy_mw for f in self.fates)
+        return fold_sum(f.dummy_mw for f in self.fates)
 
     @property
     def realized_mw(self) -> float:
@@ -377,7 +378,7 @@ def track(snapshots: Sequence[Snapshot], target_year: int) -> TransitionReport:
     return TransitionReport(
         target_year=target_year, earlier_vintage=earlier.vintage_year,
         final_vintage=final.vintage_year, fates=tuple(fates),
-        announced_mw=sum(r.capacity_mw for r in cohort))
+        announced_mw=fold_sum(r.capacity_mw for r in cohort))
 
 
 FateShares = namedtuple("FateShares", ("success", "delayed", "disappeared"))
@@ -385,13 +386,13 @@ FateRates = namedtuple("FateRates", ("target_year", "total", "by_status"))
 
 
 def _shares(fates: Sequence[ProjectFate]) -> FateShares:
-    total = sum(f.capacity_mw for f in fates)
+    total = fold_sum(f.capacity_mw for f in fates)
     if total <= 0.0:
         raise ValueError("no announced capacity to compute fate shares")
     if not math.isfinite(total):
         raise ValueError("announced capacity overflows when summed; "
                          "fate shares are undefined")
-    by_fate = {fate: sum(f.capacity_mw for f in fates if f.fate is fate)
+    by_fate = {fate: fold_sum(f.capacity_mw for f in fates if f.fate is fate)
                for fate in Fate}
     return FateShares(success=by_fate[Fate.SUCCESS] / total,
                       delayed=by_fate[Fate.DELAYED] / total,
@@ -448,8 +449,8 @@ class SankeyData(namedtuple("_SankeyData", (
 
     def stage_total_gw(self, stage: int) -> float:
         """Capacity of the target-year cohort at one stage (status nodes only)."""
-        return sum(n.capacity_gw for n in self.nodes
-                   if n.stage == stage and n.label not in _BOOKKEEPING)
+        return fold_sum(n.capacity_gw for n in self.nodes
+                        if n.stage == stage and n.label not in _BOOKKEEPING)
 
     def node_balance_errors(self, tol_gw: float = 1e-9) -> list[str]:
         """Internal status nodes whose inflow and outflow disagree."""

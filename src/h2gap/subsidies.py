@@ -25,7 +25,8 @@ from itertools import accumulate
 
 # gas_cost is defined in costs, with the rest of the per-year cost path
 from .costs import CapacityTrajectory, ParamSet, gas_cost, lcoh
-from .units import DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, production_to_capacity
+from .units import (DEFAULT_POLICY_MT, FIRST_SUBSIDY_YEAR, fold_sum,
+                    production_to_capacity)
 
 __all__ = [
     "SubsidySchedule", "BudgetSupportResult",
@@ -68,7 +69,7 @@ def demand_supported_additions(params: ParamSet, pipeline: CapacityTrajectory,
         return {y: 0.0 for y in years}
     total = production_to_capacity(policy_mt, params.full_load_hours,
                                    params.efficiency.at(2030))
-    window_additions = sum(pipeline.addition(y) for y in years)
+    window_additions = fold_sum(pipeline.addition(y) for y in years)
     if total > window_additions:
         raise ValueError(
             f"demand-supported capacity ({total:.1f} GW) exceeds the announced "
@@ -85,26 +86,29 @@ def _unit_costs(trajectory: CapacityTrajectory, params: ParamSet,
     """Subsidy per GW built in each build year over its payback window ($bn/GW).
 
     The gas total of a payment year is looked up once per call, whichever
-    cohorts pay in it.
+    cohorts pay in it, and in year order.
     """
     payments = math.ceil(params.payback_period)
     # gas is flat from the later of its and the CO2 price's last anchors on, so
     # the payment years after that one repeat its gap: add them in closed form
     flat_from = max(max(params.gas_price.anchors()), max(params.co2_price.anchors()))
     gas: dict[int, float] = {}
+    priced = 0   # the last year in ``gas``: no window ends before its predecessor's
     costs = {}
     flh = params.full_load_hours
-    for build_year in trajectory.build_years:
+    for build_year in trajectory._years:
         locked = lcoh(build_year, trajectory, params)
         locked_lcoh = locked.total
         final = build_year + payments - 1     # last payment year
         last = min(final, max(build_year, flat_from))
-        gaps = []
+        for t in range(max(build_year, priced + 1), last + 1):
+            gas[t] = gas_cost(t, params, carbon_pricing)
+        priced = last
+        total_gap = 0.0   # the window's gaps folded left to right, as fold_sum adds
         for t in range(build_year, last + 1):
-            if t not in gas:
-                gas[t] = gas_cost(t, params, carbon_pricing)
-            gaps.append(max(0.0, locked_lcoh - gas[t]))
-        total_gap = sum(gaps) + (final - last) * gaps[-1]
+            gap = max(0.0, locked_lcoh - gas[t])
+            total_gap += gap
+        total_gap += (final - last) * gap
         # GW * h/yr * eta -> MWh H2 (1e3), times $/MWh, to $bn (1e-9)
         costs[build_year] = flh * locked.efficiency * total_gap * 1e-6
     return costs
@@ -230,7 +234,7 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
     build_years = traj.build_years
     unit_cost = _unit_costs(traj, params, carbon_pricing)
     net = dict(zip(build_years, traj._net))
-    full_cost = sum(net[y] * unit_cost[y] for y in build_years)
+    full_cost = fold_sum(net[y] * unit_cost[y] for y in build_years)
     saturated = budget_busd >= full_cost
 
     per_year = dict(net)   # the saturated result; cohorts at parity keep it
@@ -250,7 +254,7 @@ def capacity_supported_by_budget(budget_busd: float, params: ParamSet,
                     for y in build_years}
 
     return BudgetSupportResult(
-        budget_busd=budget_busd, subsidy_supported_gw=sum(per_year.values()),
-        demand_supported_gw=sum(supported.values()),
-        spent_busd=sum(per_year[y] * unit_cost[y] for y in build_years),
+        budget_busd=budget_busd, subsidy_supported_gw=fold_sum(per_year.values()),
+        demand_supported_gw=fold_sum(supported.values()),
+        spent_busd=fold_sum(per_year[y] * unit_cost[y] for y in build_years),
         saturated=saturated, allocation=allocation, per_year_gw=per_year)

@@ -18,6 +18,8 @@ and input errors without loading the cost or the project side.
 
 import csv
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 
 LHV_KWH_PER_KG = 33.33
 """Lower heating value of hydrogen in kWh per kg (as-printed two decimals)."""
@@ -32,6 +34,16 @@ must have an anchor by then."""
 
 LAST_HORIZON_YEAR = 2100
 """Last ``--horizon`` year; the median continuation adds nothing after 2050."""
+
+
+def fold_sum(values) -> float:
+    """The float values added left to right from 0.0: every float total in the
+    package. Up to Python 3.11 the built-in ``sum`` adds floats this way; from
+    3.12 it compensates rounding, which moves the last bits and so the report
+    bytes. With this fold one machine writes the same bytes on every supported
+    Python. An empty sequence sums to 0.0."""
+    return reduce(add, values, 0.0)
+
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False, "": False}

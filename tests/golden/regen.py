@@ -1,4 +1,5 @@
-"""Rewrite ``digests.json`` and ``imports.json`` from the current code.
+"""Rewrite ``digests.json`` and ``imports.json`` from the current code, or
+check the digests.
 
 Run from the repository root after a change that alters report bytes or
 imports on purpose, and list what changed::
@@ -7,6 +8,13 @@ imports on purpose, and list what changed::
 
 It prints each changed, added and removed command line and import
 statement, with the modules each changed statement added and removed.
+
+With ``--check`` it rewrites nothing: it compares the digest of every
+command line with ``digests.json``, prints each line that changed and exits
+1 if any did. The check imports neither pytest nor the import record's test,
+so it runs under any supported Python, with or without test dependencies::
+
+    PYTHONPATH=src python3.13 tests/golden/regen.py --check
 """
 
 import json
@@ -19,7 +27,6 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 import test_golden  # noqa: E402
-import test_import_split  # noqa: E402
 
 
 def _rewrite(path: Path, new: dict, field: str) -> None:
@@ -39,12 +46,39 @@ def _rewrite(path: Path, new: dict, field: str) -> None:
     for key in old:
         if key not in entries:
             print(f"removed: {key}")
-    print(f"{path.name}: {len(entries)} {field} on Python {new['python']}, {new['machine']}")
+    pins = ", ".join(f"{pin} {new[pin]}" for pin in ("python", "machine") if pin in new)
+    print(f"{path.name}: {len(entries)} {field} on {pins}")
 
 
-def main() -> int:
+def check() -> int:
+    """Compare every digest with the record; 0 if all match, else 1."""
+    recorded = json.loads(test_golden.DIGEST_FILE.read_text())
+    machine = test_golden.machine_field()["machine"]
+    if recorded["machine"] != machine:
+        print(f"{test_golden.DIGEST_FILE.name} was recorded on {recorded['machine']}, "
+              f"this run is on {machine}")
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        current = test_golden.digests(Path(tmp))
+    changed = test_golden.changed_lines(recorded["digests"], current)
+    for key in changed:
+        print(f"changed: {key}")
+    version = "%d.%d.%d" % sys.version_info[:3]
+    print(f"Python {version} on {machine}: {len(current) - len(changed)} of "
+          f"{len(current)} command lines match {test_golden.DIGEST_FILE.name}")
+    return 1 if changed else 0
+
+
+def main(argv: list[str]) -> int:
     os.environ.pop("H2GAP_DATA_DIR", None)
     os.environ["COLUMNS"] = test_golden.USAGE_COLUMNS
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: regen.py [--check]", file=sys.stderr)
+        return 2
+    import test_import_split   # imports pytest, which --check may not have
+
     with tempfile.TemporaryDirectory() as tmp:
         digests = test_golden.record(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,4 +89,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -226,6 +226,56 @@ def test_with_supported_and_net_additions():
     assert traj.net_addition(2024) == pytest.approx(10.0)  # original untouched
 
 
+def _readings(traj: CapacityTrajectory) -> tuple:
+    """Everything a trajectory answers from its base year to two years past its
+    last, floats as hex so that equal means bit for bit."""
+    years = range(traj.base_year, traj.last_year + 3)
+    return (traj.base_year, traj.base_capacity_gw.hex(), traj.build_years,
+            traj.last_year, [x.hex() for x in traj._net],
+            [(traj.addition(y).hex(), traj.supported(y).hex(),
+              traj.net_addition(y).hex(), traj.cumulative(y).hex()) for y in years])
+
+
+@st.composite
+def _trajectory_and_shares(draw):
+    """A valid trajectory's arguments and a supported map for it, with the
+    shares at and around the 1e-9 tolerance, negative, nan and in a year
+    that has no addition; keys are given as ints or as text."""
+    base_year = draw(st.integers(2000, 2035))
+    base = draw(st.floats(1e-3, 1e4))
+    additions = {base_year + offset: value for offset, value in draw(st.dictionaries(
+        st.integers(1, 40), st.floats(0.0, 1e3), max_size=12)).items()}
+    absent = [y for y in range(base_year + 1, base_year + 45) if y not in additions]
+    shares = {}
+    for year in draw(st.lists(st.sampled_from([*additions, *absent[:3]]), max_size=5,
+                              unique=True)):
+        a = additions.get(year, 0.0)
+        share = draw(st.one_of(
+            st.floats(0.0, a), st.just(a + 1e-9), st.floats(a, a + 1e-9),
+            st.just(math.nextafter(a + 1e-9, math.inf)), st.floats(max_value=-1e-300),
+            st.just(math.nan), st.floats(1e-6, 10.0)))
+        shares[draw(st.sampled_from([year, str(year)]))] = share
+    return base_year, base, additions, draw(st.sampled_from([shares, None]))
+
+
+@given(_trajectory_and_shares())
+def test_with_supported_equals_a_fresh_trajectory(drawn):
+    # the copy shares the parent's checked build-out: it must read as the
+    # trajectory built afresh, raise the same error, and leave the parent as it was
+    base_year, base, additions, shares = drawn
+    parent = CapacityTrajectory(base_year, base, additions)
+    before = _readings(parent)
+    try:
+        fresh = CapacityTrajectory(base_year, base, additions, shares)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as copy_error:
+            parent.with_supported(shares)
+        assert str(copy_error.value) == str(exc)
+    else:
+        assert _readings(parent.with_supported(shares)) == _readings(fresh)
+    assert _readings(parent) == before
+
+
 def test_extended_rejects_overlap():
     # the median continuation starts in 2031 and may not overwrite a build year
     reqs = fixtures.builtin_requirements()
@@ -693,6 +743,52 @@ def test_errors_raise_on_every_call_and_are_never_stored(pipeline_traj):
         assert str(before_base.value) == str(direct.value) \
             == "year 2025 is before the base year 2030"
     assert params._lcoh_memo == {}
+
+
+def test_lcoh_memo_hits_and_misses(pipeline_traj):
+    # the memo is looked up before any check: a float build year hits the
+    # entry of its int, and every other year takes the checked path
+    params = ParamSet.builtin("central")
+    assert lcoh(2030.0, pipeline_traj, params) is lcoh(2030, pipeline_traj, params)
+    params = ParamSet.builtin("central")
+    assert lcoh(2027, pipeline_traj, params) is lcoh(2027.0, pipeline_traj, params)
+    assert pipeline_traj.last_year == 2030
+    for year in (2045, 2100, 2030.5, 2045.0, 2027.25):
+        assert year not in pipeline_traj.build_years
+        got = lcoh(year, pipeline_traj, params)
+        assert got == lcoh(year, pipeline_traj, ParamSet.builtin("central"))
+        assert got == _per_call_lcoh(int(year), pipeline_traj, params)[0]
+    assert lcoh(2030.5, pipeline_traj, params) is lcoh(2030, pipeline_traj, params)
+    # an error is raised on every call, whatever the memo holds
+    held = len(params._lcoh_memo)
+    early = CapacityTrajectory(2020, 1.86, {2022: 1.0, 2024: 2.0})
+    for _ in range(2):
+        for year, traj in ((2023, pipeline_traj), (2023.0, pipeline_traj),
+                           (2022, early)):
+            with pytest.raises(ValueError, match="defined from 2024 onwards"):
+                lcoh(year, traj, params)
+    assert len(params._lcoh_memo) == held
+    # a copy with demand-side support shares its parent's learning states
+    copy = pipeline_traj.with_supported({2024: 1.0, 2030: 2.0})
+    for year in pipeline_traj.build_years:
+        assert lcoh(year, copy, params) is lcoh(year, pipeline_traj, params)
+
+
+def test_lcoh_memo_hit_makes_no_cumulative_call(pipeline_traj, monkeypatch):
+    # a build year's hit costs two dict lookups; only a miss runs cumulative()
+    params = ParamSet.builtin("central")
+    for year in pipeline_traj.build_years:
+        lcoh(year, pipeline_traj, params)
+    calls = []
+    cumulative = CapacityTrajectory.cumulative
+    monkeypatch.setattr(CapacityTrajectory, "cumulative",
+                        lambda traj, year: calls.append(year) or cumulative(traj, year))
+    for year in pipeline_traj.build_years:
+        lcoh(year, pipeline_traj, params)
+        lcoh(float(year), pipeline_traj, params)
+    assert calls == []
+    lcoh(2045, pipeline_traj, params)
+    assert 2045 in calls
 
 
 def test_memo_is_not_a_field(pipeline_traj):

@@ -6,12 +6,19 @@ Paths are written as placeholders, in the argv and in the captured text:
 ``<DATA>`` is the bundled fixture directory and ``<TMP>`` a temporary
 directory that holds the input files below and ``--out``.
 
-The digests live in ``tests/golden/digests.json`` together with the Python
-version and machine they were recorded on: floats pass through libm, whose
-last bits may differ elsewhere, and float sums change between Python minor
-versions. A mismatch of either fails, naming both values. A change that
-alters report bytes on purpose rewrites the file with
-``PYTHONPATH=src python tests/golden/regen.py`` and lists the changed lines.
+The digests live in ``tests/golden/digests.json`` together with the machine
+they were recorded on: floats pass through libm, whose last bits may differ
+elsewhere. A run on another machine fails, naming both. The record holds on
+every supported Python, because every float total goes through
+``units.fold_sum`` rather than ``sum``, whose rounding changed in 3.12;
+``PYTHONPATH=src python tests/golden/regen.py --check`` compares the digests
+under any interpreter without pytest, and ``tests/test_cross_python.py`` runs
+it under the interpreters it is given. A change that alters report bytes on
+purpose rewrites the file with ``PYTHONPATH=src python tests/golden/regen.py``
+and lists the changed lines.
+
+This module imports nothing outside the stdlib and h2gap, so that the check
+runs where pytest is not installed.
 """
 
 from __future__ import annotations
@@ -304,13 +311,21 @@ def _digest(argv: list[str], tmp: Path) -> str:
     return h.hexdigest()
 
 
+def machine_field() -> dict[str, str]:
+    """The pin of the digest record: report bytes hold per machine."""
+    return {"machine": platform.machine()}
+
+
 def platform_fields() -> dict[str, str]:
-    return {"python": "%d.%d" % sys.version_info[:2], "machine": platform.machine()}
+    """The pins of the import record: the stdlib's own imports change between
+    Python minor versions."""
+    return {"python": "%d.%d" % sys.version_info[:2], **machine_field()}
 
 
-def check_platform(recorded: dict, record_file: Path) -> None:
-    """Fail, naming both platforms, unless ``recorded`` was made on this one."""
-    for field, value in platform_fields().items():
+def check_platform(recorded: dict, record_file: Path, fields: dict[str, str]) -> None:
+    """Fail, naming both platforms, unless ``recorded`` was made on this one,
+    as far as ``fields`` pin it."""
+    for field, value in fields.items():
         assert recorded[field] == value, (
             f"{record_file.name} was recorded on {field} {recorded[field]}, this "
             f"run is on {value}: run it on the recorded platform or record one for "
@@ -325,15 +340,20 @@ def digests(tmp: Path) -> dict[str, str]:
 
 
 def record(tmp: Path) -> dict:
-    return {**platform_fields(), "digests": digests(tmp)}
+    return {**machine_field(), "digests": digests(tmp)}
+
+
+def changed_lines(old: dict[str, str], current: dict[str, str]) -> list[str]:
+    """The command lines whose digest differs, or that only one side has."""
+    return [key for key in {**old, **current} if old.get(key) != current.get(key)]
 
 
 def test_report_bytes_match_the_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.delenv(fixtures.ENV_DATA_DIR, raising=False)
     monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
     recorded = json.loads(DIGEST_FILE.read_text())
-    check_platform(recorded, DIGEST_FILE)
-    old, current = recorded["digests"], digests(tmp_path)
-    changed = [key for key in {**old, **current} if old.get(key) != current.get(key)]
+    check_platform(recorded, DIGEST_FILE, machine_field())
+    current = digests(tmp_path)
+    changed = changed_lines(recorded["digests"], current)
     assert not changed, (f"{len(changed)} of {len(current)} command lines changed:\n"
                          + "\n".join(changed))

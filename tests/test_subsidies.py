@@ -126,6 +126,14 @@ def test_zero_policy_gives_zeros(central, pipeline_traj):
     assert all(v == 0.0 for v in supported.values())
 
 
+def test_totals_are_floats_without_a_policy_window(central):
+    # no build year in 2024-2030: the demand-side total is the empty float
+    # sum 0.0, as with a window at zero policy, not the int 0 of ``sum([])``
+    late = CapacityTrajectory(2023, 1.86, {2031: 5.0, 2032: 3.0})
+    res = capacity_supported_by_budget(10.0, central, False, late, policy_mt=0.0)
+    assert res.demand_supported_gw == 0.0 and type(res.demand_supported_gw) is float
+
+
 def test_offset_proportional_to_additions(central):
     flat = CapacityTrajectory(2023, 1.86, {y: 50.0 for y in range(2024, 2031)})
     supported = demand_supported_additions(central, flat, policy_mt=7.0)

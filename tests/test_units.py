@@ -1,7 +1,13 @@
-import pytest
+import ast
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import h2gap
 from h2gap import capacity_to_production, production_to_capacity
-from h2gap.units import LHV_KWH_PER_KG
+from h2gap.units import LHV_KWH_PER_KG, fold_sum
 
 
 def test_seven_mt_at_reference_assumptions():
@@ -69,3 +75,43 @@ def test_negative_quantities_rejected():
         production_to_capacity(-1.0, 3750.0, 0.69)
     with pytest.raises(ValueError):
         capacity_to_production(-1.0, 3750.0, 0.69)
+
+
+# ---------------------------------------------------------------------------
+# One summation rule: every float total is a left fold from 0.0
+# ---------------------------------------------------------------------------
+
+def test_fold_sum_adds_left_to_right():
+    # a compensated sum (the built-in ``sum`` from Python 3.12) gives 1.0 here
+    assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+    assert fold_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+    assert fold_sum([]) == 0.0 and type(fold_sum([])) is float
+    assert fold_sum([1e308, 1e308]) == float("inf")
+
+
+@given(st.lists(st.floats()))
+def test_fold_sum_equals_the_ordered_loop(values):
+    total = 0.0
+    for value in values:
+        total += value
+    assert fold_sum(values).hex() == total.hex()
+
+
+# the built-in ``sum`` calls left in the package, each over ints, by module
+INT_SUMS = {
+    ("cli.py", "sum(1 for r in gap_rows if r['gap_gw'] <= 0)"),
+    ("projects.py", "sum(dropped.values())"),
+}
+
+
+def test_no_float_total_uses_the_builtin_sum():
+    found = set()
+    for path in sorted(Path(h2gap.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "sum":
+                found.add((path.name, ast.get_source_segment(text, node)))
+    assert found == INT_SUMS, (
+        f"new built-in sum calls {sorted(found - INT_SUMS)}: a float total goes "
+        f"through units.fold_sum; stale entries {sorted(INT_SUMS - found)}")
