@@ -187,8 +187,10 @@ class ParamSet:
 
     A set is immutable: assigning to a field raises, and :meth:`replace`
     derives a changed copy through the constructor, so every check runs again.
-    ``_fields`` names the fields in constructor order; ``repr``, ``==`` and
-    ``hash`` read them in that order.
+    ``_schema`` declares each field once, in constructor order, with its
+    parameter-file key and the reader :meth:`from_dict` applies to the key's
+    value; ``_fields`` is derived from it, and ``repr``, ``==`` and ``hash``
+    read the fields in that order.
 
     A set memoises :func:`lcoh` in a private attribute, ``_lcoh_memo``, keyed
     on (year, cumulative capacity, base capacity). It is not a field:
@@ -196,24 +198,27 @@ class ParamSet:
     starts an empty one.
     """
 
-    _fields = (
-        "scenario_id",
-        "investment_2023",        # $/kW(el), total electrolyser in 2023
-        "stack_share_2023",       # stack share of the 2023 investment
-        "learning_rate_stack",    # fractional cost drop per capacity doubling
-        "learning_rate_bop",
-        "stack_lifetime",         # series, yr
-        "payback_period",         # yr, annuity horizon for the whole unit
-        "full_load_hours",        # h/yr
-        "cost_of_capital",        # fraction/yr
-        "efficiency",             # series, LHV fraction
-        "fom_share",              # fixed O&M, fraction of investment per yr
-        "transport_storage",      # $/MWh H2 (variable O&M)
-        "electricity_price",      # series, $/MWh(el)
-        "gas_price",              # series, $/MWh(gas), fuel only
-        "co2_price",              # series, $/tCO2
-        "emission_intensity",     # tCO2 per MWh(gas), upstream included
+    # (field, parameter-file key, reader) per field, in constructor order; the
+    # constructor checks ``scenario_id`` itself, so it has no reader
+    _schema = (
+        ("scenario_id", "scenario_id", None),
+        ("investment_2023", "investment_2023_usd_per_kw", _number),  # whole unit, per kW(el)
+        ("stack_share_2023", "stack_share_2023", _number),
+        ("learning_rate_stack", "learning_rate_stack", _number),  # cost drop per doubling
+        ("learning_rate_bop", "learning_rate_bop", _number),
+        ("stack_lifetime", "stack_lifetime_yr", _series),
+        ("payback_period", "payback_period_yr", _number),  # annuity horizon, whole unit
+        ("full_load_hours", "full_load_hours", _number),  # h/yr
+        ("cost_of_capital", "cost_of_capital", _number),  # fraction/yr
+        ("efficiency", "efficiency_lhv", _series),
+        ("fom_share", "fom_share_per_yr", _number),  # fixed O&M, of the investment
+        ("transport_storage", "transport_storage_usd_per_mwh", _number),  # variable O&M
+        ("electricity_price", "electricity_usd_per_mwh", _series),  # per MWh(el)
+        ("gas_price", "gas_usd_per_mwh", _series),  # fuel only
+        ("co2_price", "co2_usd_per_t", _series),
+        ("emission_intensity", "gas_emission_intensity_t_per_mwh", _number),  # upstream incl.
     )
+    _fields = tuple(field for field, _, _ in _schema)
     __slots__ = (*_fields, "_lcoh_memo")
 
     def __init__(self, scenario_id: str, investment_2023: float,
@@ -301,31 +306,14 @@ class ParamSet:
             raise ValueError(f"parameter file must be a JSON object, got "
                              f"{type(raw).__name__}")
 
-        def get(key: str, convert=_number):
+        def get(key: str, read):
             try:
-                return convert(raw[key])
+                return raw[key] if read is None else read(raw[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
 
         try:
-            return cls(
-                scenario_id=raw["scenario_id"],
-                investment_2023=get("investment_2023_usd_per_kw"),
-                stack_share_2023=get("stack_share_2023"),
-                learning_rate_stack=get("learning_rate_stack"),
-                learning_rate_bop=get("learning_rate_bop"),
-                stack_lifetime=get("stack_lifetime_yr", _series),
-                payback_period=get("payback_period_yr"),
-                full_load_hours=get("full_load_hours"),
-                cost_of_capital=get("cost_of_capital"),
-                efficiency=get("efficiency_lhv", _series),
-                fom_share=get("fom_share_per_yr"),
-                transport_storage=get("transport_storage_usd_per_mwh"),
-                electricity_price=get("electricity_usd_per_mwh", _series),
-                gas_price=get("gas_usd_per_mwh", _series),
-                co2_price=get("co2_usd_per_t", _series),
-                emission_intensity=get("gas_emission_intensity_t_per_mwh"),
-            )
+            return cls(**{field: get(key, read) for field, key, read in cls._schema})
         except KeyError as exc:
             raise ValueError(f"parameter file is missing key {exc}") from None
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 ENV_DATA_DIR = "H2GAP_DATA_DIR"
+_PIPELINE_COLUMNS = ("year", "additions_gw")   # what load_pipeline reads
 
 
 def data_dir() -> str:
@@ -71,8 +72,8 @@ def load_pipeline(path) -> CapacityTrajectory:
 
     rows: dict[int, float] = {}
     lines: dict[int, int] = {}
-    with read_csv(path, ("year", "additions_gw")) as (records, index, bad, line):
-        year_col, gw_col = index["year"], index["additions_gw"]
+    with read_csv(path, _PIPELINE_COLUMNS) as (records, index, bad, line):
+        year_col, gw_col = (index[c] for c in _PIPELINE_COLUMNS)
         for row in records:
             try:
                 year, gw = int(row[year_col]), float(row[gw_col])

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from h2gap import Status, cli, fixtures, track
+from h2gap import Status, cli, fixtures, projects, scenarios, track
 from h2gap.cli import main
+from h2gap.costs import ParamSet, _series
+from h2gap.units import SnapshotSchemaError
 
 SNAPSHOT_ARGS = ",".join(str(fixtures.snapshot_path(v)) for v in (2021, 2022, 2023))
 # the flags a command cannot run without
@@ -921,19 +923,70 @@ def test_parser_builds_the_flags_of_its_command_only(command):
             assert vars(parser.parse_args([other])) == {"command": other}
 
 
+def _readme_rows(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under ``header``."""
+    rows = README.read_text(encoding="utf-8").split(header)[1].split("\n\n")[0]
+    return [[c.strip() for c in line.strip("|").split("|")]
+            for line in rows.splitlines() if line.startswith("| ")]
+
+
 def test_readme_command_table_matches_the_parser():
     # README's table names each command's own and input flags; the usage
     # order puts the five shared ones between them
     header = "| command | its own flags | shared input flags | ignores of the five |"
-    rows = README.read_text(encoding="utf-8").split(header)[1].split("\n\n")[0]
     table = {}
-    for line in rows.splitlines():
-        if line.startswith("| `"):
-            name, *columns = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
-            own, inputs, ignored = ([] if c == "none" else c.split(", ") for c in columns)
-            assert set(ignored) <= set(cli._SHARED)
-            table[name] = (*own, *cli._SHARED, *inputs)
+    for row in _readme_rows(header):
+        name, *columns = [c.replace("`", "") for c in row]
+        own, inputs, ignored = ([] if c == "none" else c.split(", ") for c in columns)
+        assert set(ignored) <= set(cli._SHARED)
+        table[name] = (*own, *cli._SHARED, *inputs)
     assert table == {name: flags for name, (_, _, flags) in cli._COMMANDS.items()}
+
+
+def test_readme_parameter_table_matches_the_schema():
+    # one row per parameter-file key, in the order from_dict reads them
+    rows = _readme_rows("| key | meaning and unit | kind | bound |")
+    keys = [key.strip("`") for key, *_ in rows]
+    assert keys == [key for _, key, _ in ParamSet._schema]
+    assert [key.strip("`") for key, _, kind, _ in rows if kind == "series"] == \
+        [key for _, key, read in ParamSet._schema if read is _series]
+
+
+def test_readme_column_table_matches_the_loaders(tmp_path):
+    # README's "columns each file needs": the required ones are those each
+    # loader names; the optional one, if any, is the first name in backticks
+    table = {}
+    for name, required, optional in _readme_rows("| file | required | optional |"):
+        table[name.split()[0]] = (tuple(required.strip("`").split(", ")),
+                                  None if optional.startswith("none")
+                                  else re.search(r"`(\w+)`", optional)[1])
+    loaders = {
+        "snapshot": (fixtures.snapshot_path(2021), projects._REQUIRED_COLUMNS,
+                     "demo_state", lambda path: projects.load_snapshot(path, 2021)),
+        "pipeline": (fixtures.pipeline_path(), fixtures._PIPELINE_COLUMNS, None,
+                     fixtures.load_pipeline),
+        "requirements": (fixtures.requirements_path(), scenarios._REQUIRED_COLUMNS,
+                         "approximate", scenarios.load_requirements),
+    }
+    assert table == {name: (columns, optional)
+                     for name, (_, columns, optional, _) in loaders.items()}
+    # the bundled file cut to its required columns loads, and without any one
+    # of them it is a schema error that names the column
+    for name, (bundled, columns, _, load) in loaders.items():
+        with open(bundled, newline="") as fh:
+            header, *rows = csv.reader(fh)
+
+        def cut_to(kept: list[str]) -> Path:
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([[row[header.index(c)] for c in kept]
+                                          for row in (header, *rows)])
+            return path
+
+        load(cut_to(list(columns)))
+        for gone in columns:
+            with pytest.raises(SnapshotSchemaError, match=f"missing column '{gone}'"):
+                load(cut_to([c for c in columns if c != gone]))
 
 
 # ---------------------------------------------------------------------------

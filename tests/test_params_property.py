@@ -7,6 +7,10 @@ file stops being a JSON object. Each mutated file goes through ``lcoh``,
 ``gap``, ``subsidies`` and ``support`` at horizon 2100. Every run must exit 0,
 2 or 3 without raising, and a report that was written must hold only finite
 numbers.
+
+Beside it, every key of ``ParamSet._schema`` is named: a file without it, or
+with a list as its value, exits 2 with an error that names the key, and a
+file without two neighbouring keys names the one the schema reads first.
 """
 
 import contextlib
@@ -16,11 +20,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2gap import fixtures
 from h2gap.cli import main
+from h2gap.costs import ParamSet
 
 CENTRAL = json.loads(Path(fixtures.params_path("central")).read_text())
 SERIES = sorted(k for k, v in CENTRAL.items() if isinstance(v, dict))
@@ -92,3 +98,38 @@ def test_no_parameter_file_raises_or_reports_non_finite(raw):
             for report in out.glob("*"):
                 assert not NON_FINITE.search(report.read_text()), \
                     (command, report.name)
+
+
+KEYS = [key for _, key, _ in ParamSet._schema]
+
+
+def _lcoh_error(tmp_path, raw) -> str:
+    """The error line of ``lcoh`` on a parameter file holding ``raw``."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["lcoh", "--params", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2 and not (tmp_path / "out").exists()
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_a_missing_key_is_named(tmp_path, key):
+    raw = {k: v for k, v in CENTRAL.items() if k != key}
+    assert f"parameter file is missing key {key!r}\n" in _lcoh_error(tmp_path, raw)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_a_list_value_names_its_key(tmp_path, key):
+    error = _lcoh_error(tmp_path, {**CENTRAL, key: [1.0]})
+    # a reader's error reads "key: ...", the constructor's check of
+    # scenario_id "scenario_id must be a string, ..."
+    assert re.search(rf"params\.json: {key}(: | must be a string)", error)
+
+
+@pytest.mark.parametrize("first, second", zip(KEYS, KEYS[1:]))
+def test_of_two_missing_keys_the_first_read_is_named(tmp_path, first, second):
+    # neighbours in the schema, so the pairs together pin the whole order
+    raw = {k: v for k, v in CENTRAL.items() if k not in (first, second)}
+    assert f"missing key {first!r}\n" in _lcoh_error(tmp_path, raw)
