@@ -67,6 +67,24 @@ def oracle():
 
 
 @pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(owner, name)`` replaces ``owner.name`` for the test with
+    a wrapper that calls through and appends each call's positional arguments,
+    as a tuple, to the list it returns. A method's tuple starts with ``self``.
+    The count gates assert on these lists."""
+    def record(owner, name: str) -> list[tuple]:
+        calls, real = [], getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    return record
+
+
+@pytest.fixture
 def acceptance_check():
     def record(criterion: str, passed: bool, detail: str) -> None:
         ACCEPTANCE_RESULTS.append((criterion, passed, detail))

@@ -169,6 +169,28 @@ def test_track_middle_vintages_are_sankey_stages_only(tmp_path, monkeypatch):
     assert stage1 * 1000.0 == pytest.approx(3000.0)
 
 
+@pytest.mark.parametrize("files, vintages, narrowed", [
+    ((2021, 2022, 2023), (2021, 2022, 2023), [2022, 2023, 2023]),
+    # the four-vintage set of test_track_middle_vintages_are_sankey_stages_only
+    ((2021, 2022, 2021, 2023), (2021, 2022, 2022, 2023), [2022, 2022, 2023, 2023])],
+    ids=["three", "four"])
+def test_track_makes_one_pass_per_later_vintage(tmp_path, record_calls,
+                                                files, vintages, narrowed):
+    # track narrows the final vintage to its cohort, and sankey_flows each
+    # later vintage to the refs that leave the cohort, one pass each; nothing
+    # builds a snapshot's full by_ref() index
+    paths = [str(fixtures.snapshot_path(v)) for v in files]
+    loads = record_calls(projects, "load_snapshot")
+    passes = record_calls(projects, "_records_of")
+    indexes = record_calls(projects.Snapshot, "by_ref")
+    assert main(["track", "--snapshots", ",".join(paths),
+                 "--vintages", ",".join(map(str, vintages)),
+                 "--target-year", "2022", "--out", str(tmp_path / "out")]) == 0
+    assert loads == list(zip(paths, vintages))
+    assert sorted(snap.vintage_year for snap, _ in passes) == narrowed
+    assert indexes == []
+
+
 def test_track_json_and_csv_carry_identical_values(tmp_path):
     out_csv, out_json = tmp_path / "c", tmp_path / "j"
     assert main(["track", "--snapshots", SNAPSHOT_ARGS, "--target-year", "2022",
@@ -329,22 +351,18 @@ def test_gap_single_row_horizon(tmp_path):
 
 
 @pytest.mark.parametrize("carbon", ["off", "on"])
-def test_gap_calls_lcoh_once_per_year(tmp_path, monkeypatch, carbon):
+def test_gap_calls_lcoh_once_per_year(tmp_path, record_calls, carbon):
     import h2gap.costs
     import h2gap.subsidies
 
-    real, years = h2gap.costs.lcoh, []
-
-    def counting_lcoh(year, trajectory, params):
-        years.append(year)
-        return real(year, trajectory, params)
-
-    # subsidies binds lcoh at import, so patch that name too: every call counts
-    for module in (h2gap.costs, h2gap.subsidies):
-        monkeypatch.setattr(module, "lcoh", counting_lcoh)
+    # subsidies binds lcoh at import, so record that name too: every call counts
+    calls = record_calls(h2gap.costs, "lcoh")
+    via_subsidies = record_calls(h2gap.subsidies, "lcoh")
     assert main(["gap", "--carbon-pricing", carbon, "--horizon", "2045",
                  "--out", str(tmp_path / "out")]) == 0
-    assert years == list(range(2024, 2046))   # 22 calls, parity found or not
+    assert via_subsidies == []
+    # 22 calls, parity found or not
+    assert [year for year, *_ in calls] == list(range(2024, 2046))
 
 
 def test_gap_parity_year_is_the_first_with_a_zero_gap(tmp_path, capsys):

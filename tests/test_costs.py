@@ -774,21 +774,18 @@ def test_lcoh_memo_hits_and_misses(pipeline_traj):
         assert lcoh(year, copy, params) is lcoh(year, pipeline_traj, params)
 
 
-def test_lcoh_memo_hit_makes_no_cumulative_call(pipeline_traj, monkeypatch):
+def test_lcoh_memo_hit_makes_no_cumulative_call(pipeline_traj, record_calls):
     # a build year's hit costs two dict lookups; only a miss runs cumulative()
     params = ParamSet.builtin("central")
     for year in pipeline_traj.build_years:
         lcoh(year, pipeline_traj, params)
-    calls = []
-    cumulative = CapacityTrajectory.cumulative
-    monkeypatch.setattr(CapacityTrajectory, "cumulative",
-                        lambda traj, year: calls.append(year) or cumulative(traj, year))
+    calls = record_calls(CapacityTrajectory, "cumulative")
     for year in pipeline_traj.build_years:
         lcoh(year, pipeline_traj, params)
         lcoh(float(year), pipeline_traj, params)
     assert calls == []
     lcoh(2045, pipeline_traj, params)
-    assert 2045 in calls
+    assert 2045 in [year for _, year in calls]
 
 
 def test_memo_is_not_a_field(pipeline_traj):

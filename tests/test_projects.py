@@ -295,25 +295,16 @@ def test_records_of_one_load_share_each_country_and_region(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_status_and_flag_parsed_once_per_distinct_text(tmp_path, monkeypatch, seed):
+def test_status_and_flag_parsed_once_per_distinct_text(tmp_path, record_calls, seed):
     path, _, _ = _write_synthetic(tmp_path, seed)
     rows = [row for row in _synthetic_snapshot(seed)[0] if row]
-    calls = {"status": [], "flag": []}
-
-    def counting(kind, parse):
-        def wrapper(text):
-            calls[kind].append(text)
-            return parse(text)
-        return wrapper
-
-    monkeypatch.setattr(projects, "_parse_status",
-                        counting("status", projects._parse_status))
-    monkeypatch.setattr(projects, "_parse_bool", counting("flag", projects._parse_bool))
+    statuses = record_calls(projects, "_parse_status")
+    flags = record_calls(projects, "_parse_bool")
     load_snapshot(path, 2023)
     # the memos key on the raw text, so each spelling is parsed exactly once
-    assert sorted(calls["status"]) == sorted({row[4] for row in rows})
-    assert sorted(calls["flag"]) == sorted({row[7] for row in rows})
-    assert len(calls["status"]) < len(rows) and len(calls["flag"]) < len(rows)
+    assert sorted(statuses) == sorted({(row[4],) for row in rows})
+    assert sorted(flags) == sorted({(row[7],) for row in rows})
+    assert len(statuses) < len(rows) and len(flags) < len(rows)
 
 
 def test_non_finite_capacity_is_row_error(tmp_path):

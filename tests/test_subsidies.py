@@ -4,6 +4,8 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import h2gap.costs
+import h2gap.subsidies
 from h2gap import (
     CapacityTrajectory,
     ParamSet,
@@ -297,46 +299,22 @@ def test_schedule_lookup_outside_its_years_names_the_year(central, offset_traj,
 
 @pytest.mark.parametrize("horizon, lcoh_calls, payment_years",
                          [(2045, 225, 22), (2100, 405, 77)])
-def test_schedule_lcoh_and_payment_year_counts(central, pipeline_traj, monkeypatch,
+def test_schedule_lcoh_and_payment_year_counts(central, pipeline_traj, record_calls,
                                                horizon, lcoh_calls, payment_years):
     # the benchmark pins the same counts; a cheaper evaluation must not change
     # how often the schedule evaluates the LCOH
-    import h2gap.subsidies
-    counts = {"lcoh": 0, "annual_subsidies": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(h2gap.subsidies, name,
-                            counting(name, getattr(h2gap.subsidies, name)))
+    lcohs = record_calls(h2gap.subsidies, "lcoh")
+    payments = record_calls(h2gap.subsidies, "annual_subsidies")
     supported = demand_supported_additions(central, pipeline_traj)
     traj = fixtures.median_extended_pipeline(horizon).with_supported(supported)
     cumulative_subsidies(traj, central, False, horizon)
-    assert counts == {"lcoh": lcoh_calls, "annual_subsidies": payment_years}
-
-
-def _counting_series_lookups(monkeypatch) -> list:
-    """Patch ``TimeAnchoredSeries.at`` to record each call; returns the record."""
-    import h2gap.costs
-    calls = []
-    at = h2gap.costs.TimeAnchoredSeries.at
-
-    def counting(self, year):
-        calls.append(year)
-        return at(self, year)
-
-    monkeypatch.setattr(h2gap.costs.TimeAnchoredSeries, "at", counting)
-    return calls
+    assert (len(lcohs), len(payments)) == (lcoh_calls, payment_years)
 
 
 @pytest.mark.parametrize("horizon, carbon, cold, warm", [
     (2045, False, 88, 22), (2045, True, 110, 44),
     (2100, False, 158, 77), (2100, True, 235, 154)])
-def test_schedule_series_lookup_counts(central, pipeline_traj, monkeypatch,
+def test_schedule_series_lookup_counts(central, pipeline_traj, record_calls,
                                        horizon, carbon, cold, warm):
     # a schedule asked for again looks up only the gas side: the gas price,
     # and with carbon pricing the CO2 price, once per payment year. A cohort
@@ -347,7 +325,7 @@ def test_schedule_series_lookup_counts(central, pipeline_traj, monkeypatch,
     supported = demand_supported_additions(central, pipeline_traj)
     traj = fixtures.median_extended_pipeline(horizon).with_supported(supported)
     params = ParamSet.builtin("central")        # its memos are empty
-    calls = _counting_series_lookups(monkeypatch)
+    calls = record_calls(TimeAnchoredSeries, "at")
     cumulative_subsidies(traj, params, carbon, horizon)
     assert len(calls) == cold
     calls.clear()
@@ -356,14 +334,14 @@ def test_schedule_series_lookup_counts(central, pipeline_traj, monkeypatch,
 
 
 @pytest.mark.parametrize("carbon, cold, warm", [(False, 43, 22), (True, 64, 43)])
-def test_budget_inversion_series_lookup_counts(pipeline_traj, monkeypatch,
+def test_budget_inversion_series_lookup_counts(pipeline_traj, record_calls,
                                                carbon, cold, warm):
     # one efficiency lookup for the 2030 policy volume, the gas side of the
     # 21 payment years 2024-2044, and on a cold set the three LCOH series of
     # each of the 7 build years; the unit costs read each cohort's efficiency
     # from its LCOH record
     params = ParamSet.builtin("central")
-    calls = _counting_series_lookups(monkeypatch)
+    calls = record_calls(TimeAnchoredSeries, "at")
     capacity_supported_by_budget(308.0, params, carbon, pipeline_traj)
     assert len(calls) == cold
     calls.clear()
@@ -373,25 +351,17 @@ def test_budget_inversion_series_lookup_counts(pipeline_traj, monkeypatch,
 
 @pytest.mark.parametrize("carbon", [False, True])
 @pytest.mark.parametrize("horizon, learning_states", [(2045, 22), (2100, 27)])
-def test_schedule_computes_each_learning_state_once(central, pipeline_traj, monkeypatch,
+def test_schedule_computes_each_learning_state_once(central, pipeline_traj, record_calls,
                                                     horizon, learning_states, carbon):
     # lcoh computes investment costs only on a miss of the parameter set's
     # memo: once per distinct (year, cumulative capacity) of the schedule,
     # and not at all when the same schedule is asked for again
-    import h2gap.costs
-    misses = []
-    compute = h2gap.costs.investment_costs
-
-    def counting(*args):
-        misses.append(args[0])
-        return compute(*args)
-
-    monkeypatch.setattr(h2gap.costs, "investment_costs", counting)
+    misses = record_calls(h2gap.costs, "investment_costs")
     params = ParamSet.builtin("central")        # its memo is empty
     supported = demand_supported_additions(central, pipeline_traj)
     traj = fixtures.median_extended_pipeline(horizon).with_supported(supported)
     cumulative_subsidies(traj, params, carbon, horizon)
-    assert len(misses) == len(set(misses)) == learning_states
+    assert len(misses) == len({year for year, *_ in misses}) == learning_states
     misses.clear()
     cumulative_subsidies(traj, params, carbon, horizon)
     assert misses == []
@@ -598,18 +568,11 @@ def test_saturated_spend_equals_uncut_ledger_total(central, oracle, carbon):
 
 @pytest.mark.parametrize("allocation", ["chronological", "uniform"])
 def test_budget_inversion_prices_each_build_year_once(central, pipeline_traj,
-                                                      monkeypatch, allocation):
-    import h2gap.subsidies
-    calls = []
-
-    def counting_lcoh(year, trajectory, params):
-        calls.append(year)
-        return lcoh(year, trajectory, params)
-
-    monkeypatch.setattr(h2gap.subsidies, "lcoh", counting_lcoh)
+                                                      record_calls, allocation):
+    calls = record_calls(h2gap.subsidies, "lcoh")
     capacity_supported_by_budget(308.0, central, False, pipeline_traj,
                                  allocation=allocation)
-    assert sorted(calls) == pipeline_traj.build_years
+    assert sorted(year for year, *_ in calls) == pipeline_traj.build_years
 
 
 def test_chronological_fills_early_years_first(central, pipeline_traj, offset_traj):
@@ -709,34 +672,27 @@ def test_long_payback_unit_cost_matches_year_by_year_sum(central, offset_traj, c
         assert costs[year] == pytest.approx(expected, rel=1e-12)
 
 
-def _budget_gas_lookups(params, pipeline, monkeypatch):
+def _budget_gas_lookups(params, pipeline, record_calls):
     """Years whose gas cost one budget call looks up, and the call's result."""
-    import h2gap.subsidies
-    calls = []
-
-    def counting_gas_cost(year, params, carbon_pricing):
-        calls.append(year)
-        return gas_cost(year, params, carbon_pricing)
-
-    monkeypatch.setattr(h2gap.subsidies, "gas_cost", counting_gas_cost)
+    calls = record_calls(h2gap.subsidies, "gas_cost")
     res = capacity_supported_by_budget(100.0, params, False, pipeline)
-    return sorted(calls), res
+    return sorted(year for year, *_ in calls), res
 
 
-def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, monkeypatch):
+def test_huge_payback_budget_inversion_is_bounded(central, pipeline_traj, record_calls):
     # one gas lookup per payment year up to 2045, after which gas and CO2 are
     # flat and added in closed form: a year-by-year loop would never finish
     params = central.replace(payback_period=1e9)
-    calls, res = _budget_gas_lookups(params, pipeline_traj, monkeypatch)
+    calls, res = _budget_gas_lookups(params, pipeline_traj, record_calls)
     assert calls == list(range(2024, 2046)) and not res.saturated
     assert math.isfinite(res.spent_busd) and res.spent_busd == pytest.approx(100.0)
 
 
 def test_budget_inversion_prices_each_payment_year_once(central, pipeline_traj,
-                                                        monkeypatch):
+                                                        record_calls):
     # the bundled 15-year payback: the 2030 cohort pays through 2044, and a
     # year that several cohorts pay in is still looked up once
-    calls, res = _budget_gas_lookups(central, pipeline_traj, monkeypatch)
+    calls, res = _budget_gas_lookups(central, pipeline_traj, record_calls)
     assert calls == list(range(2024, 2045)) and not res.saturated
 
 
