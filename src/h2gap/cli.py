@@ -500,6 +500,27 @@ def cmd_sweep(args):
     return {"sweep": rows}, summary
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter with the width ``shutil.get_terminal_size`` gives
+    it, computed here, so that no command imports ``shutil`` (and with it
+    ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``): a positive ``COLUMNS``,
+    else the width of the terminal on ``sys.__stdout__``, else 80, less 2."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+            width = (width or 80) - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 # name: (handler, help line, flags in usage order)
 _COMMANDS = {
     "track": (cmd_track, "track a launch-year cohort across vintages",
@@ -527,11 +548,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     and errors are the same whichever is built; only ``command``'s subparser
     gets its flags."""
     parser = argparse.ArgumentParser(
-        prog="h2gap",
+        prog="h2gap", formatter_class=_HelpFormatter,
         description="Green hydrogen project tracking, LCOH and subsidy gaps.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, formatter_class=_HelpFormatter)
         if name == command:
             for flag in flags:
                 p.add_argument(flag, **_FLAGS[flag])

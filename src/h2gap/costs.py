@@ -19,8 +19,9 @@ installed capacity through component-specific learning rates::
 
 One subsidy schedule asks for the LCOH hundreds of times, so the records
 returned (:class:`InvestmentCosts`, :class:`LCOHBreakdown`) are named tuples,
-series lookups are memoised by year, and each :class:`ParamSet` memoises
-:func:`lcoh` in a private dict keyed on ``(year, C_t, C_base)``. With the set
+an :class:`LCOHBreakdown` adds up its total once, as a field, series lookups
+are memoised by year, and each :class:`ParamSet` memoises :func:`lcoh` in a
+private dict keyed on ``(year, C_t, C_base)``. With the set
 fixed, the year and the learning ratio ``C_t / C_base`` determine the whole
 breakdown, and demand-side support does not enter it, so trajectories that
 share those values share entries. The records are immutable, and an error is
@@ -467,17 +468,49 @@ def investment_costs(year: int, trajectory: CapacityTrajectory,
         c_t)
 
 
-class LCOHBreakdown(namedtuple("_LCOHBreakdown", (
-        "year", "electricity", "stack_capital", "bop_capital", "transport_storage",
-        # inputs used, for reporting; the investments in $/kW
-        "efficiency", "investment_stack", "investment_bop"))):
-    """Levelised cost of hydrogen and its components, all in $/MWh H2 (LHV)."""
+_LCOH_COMPONENTS = (
+    "year", "electricity", "stack_capital", "bop_capital", "transport_storage",
+    # inputs used, for reporting; the investments in $/kW
+    "efficiency", "investment_stack", "investment_bop")
+
+
+class LCOHBreakdown(namedtuple("_LCOHBreakdown", (*_LCOH_COMPONENTS, "total"))):
+    """Levelised cost of hydrogen and its components, all in $/MWh H2 (LHV).
+
+    ``total`` is a field, added left to right from the four cost components
+    when the record is built: a schedule reads it hundreds of times per
+    record. The constructor takes the eight components only, so every way in
+    derives it: ``_replace`` adds it again and refuses ``total=``, ``_make``
+    refuses a total that is not the components' sum, and copies and pickles
+    rebuild the record from its components.
+    """
     __slots__ = ()
 
-    @property
-    def total(self) -> float:
-        return (self.electricity + self.stack_capital + self.bop_capital
-                + self.transport_storage)
+    def __new__(cls, year, electricity, stack_capital, bop_capital,
+                transport_storage, efficiency, investment_stack, investment_bop):
+        return tuple.__new__(cls, (
+            year, electricity, stack_capital, bop_capital, transport_storage,
+            efficiency, investment_stack, investment_bop,
+            electricity + stack_capital + bop_capital + transport_storage))
+
+    @classmethod
+    def _make(cls, iterable) -> LCOHBreakdown:
+        *components, total = iterable
+        made = cls(*components)
+        if made.total != total:
+            raise ValueError(f"total {total!r} is not the sum of the cost "
+                             f"components, {made.total!r}")
+        return made
+
+    def _replace(self, /, **changes) -> LCOHBreakdown:
+        # ``total`` is not a component, so it is left over like any unknown name
+        made = self.__class__(*map(changes.pop, _LCOH_COMPONENTS, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return made
+
+    def __getnewargs__(self) -> tuple:
+        return self[:8]
 
 
 def lcoh(year: int, trajectory: CapacityTrajectory, params: ParamSet) -> LCOHBreakdown:

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import errno
 import gc
 import json
 import os
@@ -939,6 +940,41 @@ def test_parser_builds_the_flags_of_its_command_only(command):
     for other in cli._COMMANDS:
         if other != command:
             assert vars(parser.parse_args([other])) == {"command": other}
+
+
+def _terminal(columns):
+    """An ``os.get_terminal_size`` for a terminal ``columns`` wide, or for
+    a stdout that is not a terminal."""
+    def get_terminal_size(fd):
+        if columns is None:
+            raise OSError(errno.ENOTTY, "not a terminal")
+        return os.terminal_size((columns, 24))
+    return get_terminal_size
+
+
+@pytest.mark.parametrize("environ, terminal", [
+    ("37", None), ("37", 120), ("1", 57), ("200", 57), (None, 57), (None, None),
+    ("0", 57), ("-3", None), ("wide", 57),
+], ids=lambda value: repr(value))
+def test_help_is_as_wide_as_shutil_says(monkeypatch, environ, terminal):
+    # the width comes from COLUMNS, the terminal or 80, as shutil computes
+    # it, without importing shutil
+    import argparse
+    import shutil
+
+    if environ is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", environ)
+    monkeypatch.setattr(os, "get_terminal_size", _terminal(terminal))
+    width = shutil.get_terminal_size().columns - 2
+    assert cli._HelpFormatter("h2gap")._width == width
+    parser = cli.build_parser("support")
+    parsers = (parser, parser._subparsers._group_actions[0].choices["support"])
+    ours = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in parsers] == ours
 
 
 def _readme_rows(header: str) -> list[list[str]]:

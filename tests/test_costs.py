@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from h2gap import (
     CapacityTrajectory,
+    LCOHBreakdown,
     ParamSet,
     TimeAnchoredSeries,
     annuity_factor,
@@ -18,6 +19,7 @@ from h2gap import (
     investment_costs,
     lcoh,
 )
+from h2gap.units import fold_sum
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,8 @@ def _perturbed_raw(rng, raw, spread=0.05):
 
 def _per_call_lcoh(year, traj, p):
     """(lcoh fields, investment cost fields), every constant recomputed per call
-    and every series read from a fresh, unmemoised copy."""
+    and every series read from a fresh, unmemoised copy; the LCOH total is
+    folded from 0.0 over the four cost components, in their field order."""
     def at(series):
         return TimeAnchoredSeries(series.anchors()).at(year)
 
@@ -652,7 +655,11 @@ def _per_call_lcoh(year, traj, p):
     bop_cap = (a_bop + p.fom_share) * bop / p.full_load_hours * 1000.0 / eta
     stack_cap = (a_stack + p.fom_share) * stack / p.full_load_hours * 1000.0 / eta
     elec = at(p.electricity_price) / eta
-    return ((year, elec, stack_cap, bop_cap, p.transport_storage, eta, stack, bop),
+    total = 0.0
+    for cost in (elec, stack_cap, bop_cap, p.transport_storage):
+        total += cost
+    return ((year, elec, stack_cap, bop_cap, p.transport_storage, eta, stack, bop,
+             total),
             (year, stack, bop, c_t))
 
 
@@ -806,3 +813,49 @@ def test_cost_records_are_named_tuples(pipeline_traj, central):
     b = lcoh(2030, pipeline_traj, central)
     assert b._replace(transport_storage=0.0).total \
         == b.electricity + b.stack_capital + b.bop_capital
+
+
+def test_lcoh_breakdown_holds_its_total_as_a_field(pipeline_traj, central):
+    b = lcoh(2030, pipeline_traj, central)
+    assert b._fields == ("year", "electricity", "stack_capital", "bop_capital",
+                         "transport_storage", "efficiency", "investment_stack",
+                         "investment_bop", "total")
+    assert b == tuple(b) and len(b) == 9 and b[8] is b.total
+    assert b.total == (b.electricity + b.stack_capital + b.bop_capital
+                       + b.transport_storage)
+    # the total is added left to right: here any other order rounds differently
+    spread = LCOHBreakdown(2030, 1.0, 1e16, 1.0, 1.0, 0.7, 0.0, 0.0)
+    assert spread.total == fold_sum([1.0, 1e16, 1.0, 1.0]) == 1e16
+    assert spread.total != math.fsum([1.0, 1e16, 1.0, 1.0])
+    assert LCOHBreakdown(*b[:8]) == b
+    with pytest.raises(TypeError):
+        LCOHBreakdown(*b)   # the total is derived, never given
+
+
+def test_lcoh_breakdown_replace_and_make_derive_the_total(pipeline_traj, central):
+    b = lcoh(2030, pipeline_traj, central)
+    assert b._replace() == b
+    cheap = b._replace(electricity=0.0, transport_storage=0.0)
+    assert cheap.total == 0.0 + b.stack_capital + b.bop_capital + 0.0
+    assert cheap[:8] == (b.year, 0.0, b.stack_capital, b.bop_capital, 0.0,
+                         *b[5:8])
+    for changes in ({"total": 1.0}, {"total": b.total}, {"nope": 1.0}):
+        with pytest.raises(ValueError):
+            b._replace(**changes)
+    assert LCOHBreakdown._make(tuple(b)) == b
+    assert type(LCOHBreakdown._make(iter(b))) is LCOHBreakdown
+    with pytest.raises(ValueError, match="not the sum of the cost components"):
+        LCOHBreakdown._make((*b[:8], b.total + 1.0))
+    with pytest.raises(TypeError):
+        LCOHBreakdown._make(b[:8])
+
+
+def test_lcoh_breakdown_copies_and_pickles_rebuild_the_total(pipeline_traj, central):
+    b = lcoh(2030, pipeline_traj, central)
+    assert b.__getnewargs__() == tuple(b[:8])
+    copies = [copy.copy(b), copy.deepcopy(b)]
+    copies += [pickle.loads(pickle.dumps(b, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is LCOHBreakdown and other == b
+        assert other.total == b.total
